@@ -5,7 +5,7 @@ Subcommands:
     validate <config>     report all configuration violations without running
     preset <name> --out   execute a shipped preset (fig2, fig4, counter, bec_design)
 
-Exit codes: 0 success, 2 configuration error, 3 integration failure.
+Exit codes: 0 success, 2 configuration or input error, 3 integration failure.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .config import parse_config, validate
-from .errors import ConfigError, IntegrationError
+from .errors import CapacityError, ConfigError, DomainError, IntegrationError, NoRootError
 from .runner import run_scenario
 
 PRESETS = ("fig2", "fig4", "counter", "bec_design")
@@ -89,6 +89,9 @@ def main(argv=None) -> int:
     except IntegrationError as exc:
         print(f"integration failure: {exc}", file=sys.stderr)
         return 3
+    except (DomainError, NoRootError, CapacityError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -229,6 +229,11 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.append("t_max: must be > 0")
     elif config.dt >= config.t_max:
         diags.append(f"dt: must be < t_max ({config.dt} >= {config.t_max})")
+    elif config.dt > 0:
+        steps = config.t_max / config.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            diags.append(f"t_max: must be a whole number of steps dt ({config.t_max} / "
+                         f"{config.dt} = {steps:.6g})")
     if config.record_every < 1:
         diags.append("record_every: must be >= 1")
     if config.gamma0 < 0:
@@ -254,8 +259,11 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.append(f"couplings: {exc}")
     if config.omega_rule not in OMEGA_RULES:
         diags.append(f"omega_rule: unknown rule {config.omega_rule!r}")
-    elif config.omega_rule == "explicit" and len(config.omegas) != n:
-        diags.append(f"omegas: explicit rule needs {n} entries, got {len(config.omegas)}")
+    elif config.omega_rule == "explicit":
+        if len(config.omegas) != n:
+            diags.append(f"omegas: explicit rule needs {n} entries, got {len(config.omegas)}")
+        if any(w <= 0 for w in config.omegas):
+            diags.append("omegas: all proper frequencies must be > 0")
     if config.initial_state not in INITIAL_STATES:
         diags.append(f"initial_state: unknown state {config.initial_state!r}")
     elif config.initial_state == "explicit":

@@ -21,12 +21,17 @@ class IntegrationError(AccelAtomsError):
     """The time integrator breached a hard state invariant.
 
     Carries the failing step index so runs can be diagnosed and the CLI can
-    report where the trajectory went bad.
+    report where the trajectory went bad. The constructor arguments are kept
+    in `args`, so the error survives pickling from a worker process.
     """
 
     def __init__(self, message: str, step: int):
-        super().__init__(f"{message} (step {step})")
+        super().__init__(message, step)
+        self.message = message
         self.step = step
+
+    def __str__(self) -> str:
+        return f"{self.message} (step {self.step})"
 
 
 class NoRootError(AccelAtomsError):

@@ -39,8 +39,7 @@ from .rates import RateSet
 
 N_MAX_DENSE_DEFAULT = 4
 N_MAX_DENSE_HARD_CAP = 6
-_SPARSE_DIM = 32  # use sparse operator algebra from 5 atoms up
-_RANK_TOL = 1e-13
+_ASSEMBLY_CHUNK = 1 << 16  # COO entries summed into the CSR matrix at a time
 
 
 def hamiltonian_from_omegas(omegas: Sequence[float]) -> np.ndarray:
@@ -88,7 +87,12 @@ def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
     return (evecs * w) @ evecs.conj().T
 
 
-def _cross_terms(rates: RateSet, n: int, cross_pairing: str):
+def _ladder(op: tuple[int, bool], n: int) -> np.ndarray:
+    atom, raising = op
+    return sigma_plus(atom, n) if raising else sigma_minus(atom, n)
+
+
+def _cross_terms(rates: RateSet, cross_pairing: str):
     """Inter-wedge commutator terms as (coef, B, C) triples for coef*[B rho, C]."""
     terms = []
     idx_i, idx_k = rates.wedge_partition
@@ -96,77 +100,62 @@ def _cross_terms(rates: RateSet, n: int, cross_pairing: str):
         for b, gk in enumerate(idx_k):
             pp = rates.cross_pp[a, b]
             mm = rates.cross_mm[a, b]
-            if pp == 0 and mm == 0:
-                continue
-            spi, smi = sigma_plus(gi, n), sigma_minus(gi, n)
-            spk, smk = sigma_plus(gk, n), sigma_minus(gk, n)
+            spi, smi, spk, smk = (gi, True), (gi, False), (gk, True), (gk, False)
             if cross_pairing == "anomalous":
-                terms.append((-pp, spi, spk))
-                terms.append((-pp, spk, spi))
-                terms.append((-mm, smi, smk))
-                terms.append((-mm, smk, smi))
+                terms += [(-pp, spi, spk), (-pp, spk, spi), (-mm, smi, smk), (-mm, smk, smi)]
             else:
-                terms.append((-pp, spi, smk))
-                terms.append((-pp, smi, spk))
-                terms.append((-pp, spk, smi))
-                terms.append((-pp, smk, spi))
+                terms += [(-pp, spi, smk), (-pp, smi, spk), (-pp, spk, smi), (-pp, smk, spi)]
     return terms
 
 
 def _generator_terms(rates: RateSet, cross_pairing: str = "anomalous"):
-    """All dissipative terms as (coef, B, C) with the convention coef*[B rho, C];
-    the Hermitian conjugate of the whole sum is added by the caller."""
+    """All nonzero dissipative terms as (coef, B, C) with the convention
+    coef*[B rho, C]; the Hermitian conjugate of the whole sum is added by the
+    caller. B and C are ladder operators given as (atom, raising)."""
     if cross_pairing not in ("anomalous", "literal"):
         raise DomainError(f"unknown cross_pairing {cross_pairing!r}")
     n = rates.n_atoms
     terms = []
     for i in range(n):
         for j in range(n):
-            gpm = rates.gamma_plus_minus[i, j]
-            gmp = rates.gamma_minus_plus[i, j]
-            if gpm != 0:
-                terms.append((gpm, sigma_plus(j, n), sigma_minus(i, n)))
-            if gmp != 0:
-                terms.append((gmp, sigma_minus(j, n), sigma_plus(i, n)))
-    terms.extend(_cross_terms(rates, n, cross_pairing))
-    return terms
+            terms.append((rates.gamma_plus_minus[i, j], (j, True), (i, False)))
+            terms.append((rates.gamma_minus_plus[i, j], (j, False), (i, True)))
+    terms += _cross_terms(rates, cross_pairing)
+    return [term for term in terms if term[0] != 0]
 
 
-def _rank_factors(channel: np.ndarray, lowering: bool, n: int):
-    """Decompose sum_ij M_ij sigma_j^x rho sigma_i^x' into rank-one collective
-    jump pairs; falls back to one pair per matrix row if M is not Hermitian."""
-    build = sigma_minus if lowering else sigma_plus
-    adj = sigma_plus if lowering else sigma_minus
-    w = channel.T
-    pairs = []
-    if np.abs(channel - channel.conj().T).max() <= 1e-12 * max(1.0, np.abs(channel).max()):
-        evals, evecs = np.linalg.eigh(w)
-        keep = np.abs(evals) > _RANK_TOL * max(1.0, np.abs(evals).max())
-        for lam, vec in zip(evals[keep], evecs[:, keep].T):
-            left = sum(vec[j] * build(j, n) for j in range(n))
-            pairs.append((lam * left, left.conj().T))
-    else:
-        for i in range(n):
-            row = channel[i]
-            if not np.any(row):
-                continue
-            left = sum(row[j] * build(j, n) for j in range(n))
-            pairs.append((left, adj(i, n)))
-    return pairs
+def _basis_map(ops, dim: int) -> np.ndarray:
+    """Image of every basis index under the product of ladder operators `ops`
+    (ops[0] acts first): the target index, or -1 where the product vanishes.
+    Every such product sends a basis state to at most one basis state."""
+    dst = np.arange(dim)
+    for atom, raising in ops:
+        bit = 1 << atom
+        alive = (dst >= 0) & (((dst & bit) == 0) == raising)
+        dst = np.where(alive, dst ^ bit, -1)
+    return dst
+
+
+def _flip(op: tuple[int, bool]) -> tuple[int, bool]:
+    # adjoint, and also transpose, of a real ladder operator
+    return op[0], not op[1]
 
 
 class LindbladGenerator:
-    """Compiled generator: rhs(rho) by direct operator action on the 2^N state.
+    """The master equation compiled to basis maps over density-matrix pairs.
 
-    Precomputes the no-jump matrix G and a short list of (left, right) jump
-    factor pairs so one evaluation costs a handful of (sparse) matrix products;
-    rhs(rho) = Y + Y^dagger with Y = G rho + sum left rho right.
+    Every term is A rho R with A, R products of ladder operators, so it sends
+    the pair (a, b) to at most one pair (f(a), g(b)) with a constant weight;
+    f and g are computed by bit arithmetic. Terms that leave the pair in place
+    (H and the diagonal parts of the no-jump terms) are folded into one
+    diagonal weight. From these maps the generator finds the pairs reachable
+    from a state's support and assembles the sparse matrix L on them, with
+    pair index p = a * dim + b (the row-major position in rho).
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
                  cross_pairing: str = "anomalous"):
-        if cross_pairing not in ("anomalous", "literal"):
-            raise DomainError(f"unknown cross_pairing {cross_pairing!r}")
+        terms = _generator_terms(rates, cross_pairing)
         n = rates.n_atoms
         dim = 2**n
         self.n_atoms = n
@@ -174,58 +163,119 @@ class LindbladGenerator:
         self.rates = rates
         self.cross_pairing = cross_pairing
         self.H = None if H is None else np.asarray(H, dtype=complex)
-        if self.H is not None and self.H.shape != (dim, dim):
-            raise DomainError(f"H has shape {self.H.shape}, expected {(dim, dim)}")
-
-        g = np.zeros((dim, dim), dtype=complex)
+        ident = np.arange(dim)
+        self._left_diag = np.zeros(dim, dtype=complex)
+        self._right_diag = np.zeros(dim, dtype=complex)
         if self.H is not None:
-            g += -1j * self.H
-        gmp, gpm = rates.gamma_minus_plus, rates.gamma_plus_minus
-        for i in range(n):
-            for j in range(n):
-                if gmp[i, j] != 0:
-                    g -= gmp[i, j] * (sigma_plus(i, n) @ sigma_minus(j, n))
-                if gpm[i, j] != 0:
-                    g -= gpm[i, j] * (sigma_minus(i, n) @ sigma_plus(j, n))
+            if self.H.shape != (dim, dim):
+                raise DomainError(f"H has shape {self.H.shape}, expected {(dim, dim)}")
+            h = self.H.diagonal()
+            if np.any(self.H - np.diag(h)):
+                raise DomainError("H must be diagonal in the computational basis")
+            self._left_diag -= 1j * h
+            self._right_diag += 1j * h
 
-        jumps = list(_rank_factors(gmp, lowering=True, n=n))
-        jumps += _rank_factors(gpm, lowering=False, n=n)
+        # coef*[B rho, C] + h.c. = coef B rho C - coef C B rho
+        #                          + coef* C^+ rho B^+ - coef* rho B^+ C^+;
+        # the right factor acts on the column index through its transpose
+        merged: dict[tuple[bytes, bytes], list] = {}
+        for coef, b, c in terms:
+            cc = np.conj(coef)
+            for w, left, right in ((coef, [b], [_flip(c)]), (-coef, [b, c], []),
+                                   (cc, [_flip(c)], [b]), (-cc, [], [b, c])):
+                fl, fr = _basis_map(left, dim), _basis_map(right, dim)
+                entry = merged.setdefault((fl.tobytes(), fr.tobytes()), [fl, fr, 0.0])
+                entry[2] += w
 
-        for coef, b, c in _cross_terms(rates, n, cross_pairing):
-            jumps.append((coef * b, c))
-            g -= coef * (c @ b)
+        self._jumps = []
+        for fl, fr, w in merged.values():
+            if w == 0:
+                continue
+            if np.array_equal(fr, ident) and np.all((fl == ident) | (fl < 0)):
+                self._left_diag += w * (fl >= 0)
+            elif np.array_equal(fl, ident) and np.all((fr == ident) | (fr < 0)):
+                self._right_diag += w * (fr >= 0)
+            else:
+                self._jumps.append((fl, fr, w))
 
-        if dim >= _SPARSE_DIM:
-            self._g = sp.csr_array(g)
-            self._jumps = [(sp.csr_array(l), sp.csr_array(r), sp.csr_array(r.conj().T))
-                           for l, r in jumps]
-        else:
-            self._g = g
-            self._jumps = [(l, r, np.ascontiguousarray(r.conj().T)) for l, r in jumps]
+    def reachable(self, support) -> np.ndarray:
+        """Sorted pair indices reachable from the pair indices `support`
+        (breadth-first over the maps); the result is invariant under L."""
+        dim = self.dim
+        seen = np.zeros(dim * dim, dtype=bool)
+        frontier = np.unique(np.asarray(support, dtype=np.int64))
+        seen[frontier] = True
+        while frontier.size:
+            a, b = np.divmod(frontier, dim)
+            found = []
+            for fl, fr, _ in self._jumps:
+                ta, tb = fl[a], fr[b]
+                t = (ta * dim + tb)[(ta >= 0) & (tb >= 0)]
+                t = t[~seen[t]]
+                seen[t] = True
+                found.append(t)
+            frontier = np.concatenate(found) if found else frontier[:0]
+        return np.flatnonzero(seen)
+
+    def assemble(self, pairs: np.ndarray) -> sp.csr_array:
+        """CSR matrix of L on the sorted pair indices `pairs`, which must be
+        closed under the generator: (L v)[k] is d rho[pairs[k]]/dt."""
+        dim, m = self.dim, len(pairs)
+        a, b = np.divmod(pairs, dim)
+        total = sp.csr_array(sp.dia_array(
+            (self._left_diag[a] + self._right_diag[b], 0), shape=(m, m)))
+        rows, cols, vals, size = [], [], [], 0
+        for k, (fl, fr, w) in enumerate(self._jumps):
+            ta, tb = fl[a], fr[b]
+            src = np.flatnonzero((ta >= 0) & (tb >= 0))
+            tgt = ta[src] * dim + tb[src]
+            row = np.searchsorted(pairs, tgt)
+            if np.any(pairs[np.minimum(row, m - 1)] != tgt):
+                raise DomainError("pair set is not closed under the generator")
+            rows.append(row)
+            cols.append(src)
+            vals.append(np.full(src.size, w, dtype=complex))
+            size += src.size
+            # sum the pieces in bounded chunks rather than all at once
+            if size >= _ASSEMBLY_CHUNK or k == len(self._jumps) - 1:
+                total = total + sp.csr_array(sp.coo_array(
+                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                    shape=(m, m)))
+                rows, cols, vals, size = [], [], [], 0
+        return total
 
     def rhs(self, rho: np.ndarray) -> np.ndarray:
-        y = self._g @ rho
-        for left, right, _ in self._jumps:
-            y += (left @ rho) @ right
-        return y + y.conj().T
+        """d rho/dt, assembled on the pairs reachable from rho's support."""
+        rho = np.asarray(rho, dtype=complex)
+        if rho.shape != (self.dim, self.dim):
+            raise DomainError(f"state has shape {rho.shape}, expected "
+                              f"{(self.dim, self.dim)}")
+        flat = rho.ravel()
+        pairs = self.reachable(np.flatnonzero(flat))
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[pairs] = self.assemble(pairs) @ flat[pairs]
+        return out.reshape(self.dim, self.dim)
 
-    def rhs_hermitian(self, rho: np.ndarray) -> np.ndarray:
-        """rhs() assuming rho is Hermitian; replaces the costly dense-times-
-        sparse right multiplications via L rho R = L (R^dagger rho)^dagger."""
-        y = self._g @ rho
-        for left, _, right_dag in self._jumps:
-            y += left @ (right_dag @ rho).conj().T
-        return y + y.conj().T
+    rhs_hermitian = rhs  # alias: rhs accepts any rho, Hermitian or not
+
+    def invariant_blocks(self) -> list[np.ndarray]:
+        """Dense diagonal blocks of L over a partition of all pairs into
+        invariant sets (the weakly connected components of its graph); the
+        spectrum of L is the union of the blocks' spectra."""
+        from scipy.sparse.csgraph import connected_components
+        L = self.assemble(np.arange(self.dim * self.dim))
+        count, labels = connected_components(L != 0, directed=True, connection="weak")
+        blocks = []
+        for c in range(count):
+            idx = np.flatnonzero(labels == c)
+            blocks.append(L[idx][:, idx].toarray())
+        return blocks
 
 
 def lindblad_rhs(rho: np.ndarray, H: np.ndarray | None, rates: RateSet,
                  cross_pairing: str = "anomalous") -> np.ndarray:
     """drho/dt for one state; convenience wrapper over LindbladGenerator."""
-    rho = np.asarray(rho, dtype=complex)
-    gen = LindbladGenerator(H, rates, cross_pairing)
-    if rho.shape != (gen.dim, gen.dim):
-        raise DomainError(f"state has shape {rho.shape}, expected {(gen.dim, gen.dim)}")
-    return gen.rhs(rho)
+    return LindbladGenerator(H, rates, cross_pairing).rhs(rho)
 
 
 def build_superoperator(H: np.ndarray | None, rates: RateSet,
@@ -234,7 +284,7 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
     """Dense 4^N x 4^N generator acting on column-stacked density matrices.
 
     Assembled independently of LindbladGenerator via Kronecker identities
-    (vec(A rho B) = (B^T kron A) vec(rho)); kept for spectral analysis only.
+    (vec(A rho B) = (B^T kron A) vec(rho)); kept as the test oracle.
     """
     if n_max_dense > N_MAX_DENSE_HARD_CAP:
         raise CapacityError(f"n_max_dense={n_max_dense} exceeds hard cap "
@@ -250,6 +300,7 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
         H = np.asarray(H, dtype=complex)
         L += -1j * (np.kron(eye, H) - np.kron(H.T, eye))
     for coef, b, c in _generator_terms(rates, cross_pairing):
+        b, c = _ladder(b, n), _ladder(c, n)
         L += coef * (np.kron(c.T, b) - np.kron(eye, c @ b))
         # Hermitian conjugate of coef*[b rho, c]
         L += np.conj(coef) * (np.kron(b.conj(), c.conj().T)

@@ -20,7 +20,7 @@ from .config import ScenarioConfig, resolve_alphas, resolve_couplings, resolve_o
 from .dynamics import evolve
 from .errors import ConfigError
 from .kinematics import AtomSpec, FrameConfig
-from .liouvillian import (N_MAX_DENSE_DEFAULT, build_hamiltonian, build_superoperator,
+from .liouvillian import (N_MAX_DENSE_DEFAULT, LindbladGenerator, build_hamiltonian,
                           steady_state_analysis)
 from .operators import product_state
 from .rates import cross_wedge_rates, same_wedge_rates
@@ -127,9 +127,10 @@ def execute_run(run: RunSpec) -> RunResult:
         "max_trace_drift": series.max_trace_drift,
     })
     if n <= N_MAX_DENSE_DEFAULT:
-        L = build_superoperator(H, rates)
-        analysis = steady_state_analysis(L, zero_tol=1e-9 * run.frame.gamma0)
-        summary["liouvillian_zero_multiplicity"] = analysis.zero_multiplicity
+        blocks = LindbladGenerator(H, rates).invariant_blocks()
+        summary["liouvillian_zero_multiplicity"] = sum(
+            steady_state_analysis(block, zero_tol=1e-9 * run.frame.gamma0).zero_multiplicity
+            for block in blocks)
     return RunResult(run.label, series.times, series.columns, series.records, summary)
 
 

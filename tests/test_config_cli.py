@@ -1,6 +1,6 @@
 import pytest
 
-from accelatoms import ConfigError
+from accelatoms import CapacityError, ConfigError, NoRootError
 from accelatoms import cli
 from accelatoms.config import ScenarioConfig, parse_config, validate
 
@@ -108,6 +108,49 @@ def test_cli_integration_failure_exit_code(tmp_path):
     cfg.write_text("schema_version = 1\nscenario = custom\nn_atoms = 1\n"
                    "alphas = equal: 2\nt_max = 500\ndt = 50\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "d")]) == 3
+
+
+def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):
+    cfg = tmp_path / "div.cfg"
+    cfg.write_text("schema_version = 1\nscenario = equal_acceleration_sweep\nn_atoms = 1\n"
+                   "sweep_alphas = 2, 4\nt_max = 200\ndt = 50\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 3
+    serial = capsys.readouterr().err
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "p"), "--threads", "2"]) == 3
+    assert capsys.readouterr().err == serial
+    assert serial.startswith("integration failure:") and "(step " in serial
+
+
+def test_validate_rejects_nonpositive_explicit_omegas(tmp_path):
+    cfg = parse_config(GOOD)
+    bad = ScenarioConfig(**{**cfg.__dict__, "omega_rule": "explicit", "omegas": (1.0, -1.0)})
+    assert any("omegas" in d for d in validate(bad))
+    path = tmp_path / "omegas.cfg"
+    path.write_text(GOOD.replace("omega_rule = equal", "omega_rule = explicit\nomegas = 1, -1"))
+    assert cli.main(["validate", str(path)]) == 2
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_validate_rejects_partial_final_step(tmp_path):
+    path = tmp_path / "steps.cfg"
+    path.write_text(GOOD.replace("dt = 0.01", "dt = 0.3"))  # t_max = 1
+    assert cli.main(["validate", str(path)]) == 2
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_maps_run_path_errors_to_exit_2(tmp_path, capsys, monkeypatch):
+    # a negative coupling passes validate and is rejected by AtomSpec at run time
+    path = tmp_path / "coupling.cfg"
+    path.write_text(GOOD + "couplings = -1, 1\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "c")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
+    for exc in (NoRootError("no bound state"), CapacityError("too many atoms")):
+        def fail(*args, exc=exc, **kwargs):
+            raise exc
+        monkeypatch.setattr(cli, "run_scenario", fail)
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "c")]) == 2
+        assert capsys.readouterr().err == f"input error: {exc}\n"
 
 
 def test_cli_unknown_preset(tmp_path):

@@ -287,3 +287,27 @@ def test_small_zero_concurrence_certificate():
     h = build_hamiltonian(atoms, frame)
     ts = evolve(all_excited(3), h, rs, t_max=5.0, dt=2e-3)
     assert ts.column("C_conc").max() < 1e-10
+
+
+def test_emission_rate_column_matches_superoperator_oracle():
+    # R_tot = -sum_a popcount(a) (d rho/dt)_aa with d rho/dt from the Kronecker oracle
+    frame = FrameConfig(a=2.0)
+    pair = [AtomSpec(omega=1.0, alpha=2.0)] * 2
+    wedge_i = [AtomSpec(omega=1.0, alpha=2.0)] * 2
+    wedge_ii = [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2
+    cases = [(all_excited(2), build_hamiltonian(pair, frame), same_wedge_rates(frame, pair)),
+             (all_ground(4), None, cross_wedge_rates(frame, wedge_i, wedge_ii))]
+    for rho0, h, rs in cases:
+        dim = rho0.shape[0]
+        popcount = np.array([bin(b).count("1") for b in range(dim)])
+        L = build_superoperator(h, rs)
+        ts = evolve(rho0, h, rs, t_max=1.0, dt=1e-3, record_every=50, retain_states=True)
+        expected = [-popcount @ (L @ st.flatten(order="F")).reshape(dim, dim, order="F")
+                    .diagonal().real for st in ts.states]
+        assert np.abs(ts.column("R_tot") - expected).max() < 1e-12
+
+
+def test_evolve_rejects_partial_final_step():
+    frame, atoms, rs, h = resonant_system(1)
+    with pytest.raises(DomainError):
+        evolve(all_excited(1), h, rs, t_max=1.0, dt=0.3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.optimize import linear_sum_assignment
 
 from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig
 from accelatoms.kinematics import unruh_beta
@@ -9,6 +10,7 @@ from accelatoms.liouvillian import (LindbladGenerator, build_hamiltonian,
                                     hamiltonian_from_omegas, lindblad_rhs,
                                     steady_state_analysis, thermal_residual,
                                     thermal_state)
+from accelatoms.operators import all_excited, all_ground
 from accelatoms.rates import cross_wedge_rates, same_wedge_rates
 
 
@@ -236,3 +238,68 @@ def test_capacity_limits():
     rs5 = same_wedge_rates(frame, atoms5)
     L = build_superoperator(build_hamiltonian(atoms5, frame), rs5, n_max_dense=5)
     assert L.shape == (1024, 1024)
+
+
+def counter_wedge_four(cross_pairing="anomalous"):
+    frame = FrameConfig(a=2.0)
+    rs = cross_wedge_rates(frame, [AtomSpec(omega=1.0, alpha=2.0)] * 2,
+                           [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2)
+    return LindbladGenerator(None, rs, cross_pairing)
+
+
+def test_reachable_sector_of_product_states():
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    # equal excitation numbers on both sides: sum_k C(6, k)^2 = C(12, 6) pairs
+    assert len(gen.reachable(np.flatnonzero(all_excited(6)))) == 924
+    # anomalous pairing: equal charge N_I - N_II (atoms 0, 1 in wedge I) on both sides
+    anomalous = counter_wedge_four().reachable(np.flatnonzero(all_ground(4)))
+    a, b = np.divmod(anomalous, 16)
+    charge = np.array([(k & 1) + (k >> 1 & 1) - (k >> 2 & 1) - (k >> 3 & 1) for k in range(16)])
+    assert len(anomalous) == 70 and np.all(charge[a] == charge[b])
+    # literal pairing: the same code path finds the equal-excitation sector instead
+    literal = counter_wedge_four("literal").reachable(np.flatnonzero(all_ground(4)))
+    a, b = np.divmod(literal, 16)
+    popcount = np.array([bin(k).count("1") for k in range(16)])
+    assert len(literal) == 70 and np.all(popcount[a] == popcount[b])
+    assert not np.array_equal(literal, anomalous)
+    # atom 0 in (|g> + |e>)/sqrt(2): the sectors with charge difference 0 and +-1
+    coherent = np.zeros((16, 16))
+    coherent[np.ix_([0, 1], [0, 1])] = 0.5
+    reached = counter_wedge_four().reachable(np.flatnonzero(coherent))
+    a, b = np.divmod(reached, 16)
+    assert len(reached) == np.sum(np.abs(charge[:, None] - charge[None, :]) <= 1) == 182
+    assert set(charge[a] - charge[b]) == {-1, 0, 1}
+    # the generator on a sector agrees with the Kronecker oracle there
+    gen = counter_wedge_four("literal")
+    L = gen.assemble(literal)
+    rng = np.random.default_rng(4)
+    rho = np.zeros(256, dtype=complex)
+    rho[literal] = rng.normal(size=len(literal)) + 1j * rng.normal(size=len(literal))
+    rho = rho.reshape(16, 16)
+    oracle = build_superoperator(None, gen.rates, cross_pairing="literal")
+    expected = unvec(oracle @ vec(rho), 16).ravel()
+    assert np.abs(L @ rho.ravel()[literal] - expected[literal]).max() < 1e-12
+    assert np.abs(np.delete(expected, literal)).max() < 1e-12
+
+
+def test_invariant_block_spectrum_matches_superoperator():
+    frame = FrameConfig(a=2.0)
+    systems = []
+    for omegas in ((1.0, 1.0), (1.0, 1.5)):  # the two c04 systems
+        atoms = [AtomSpec(omega=w, alpha=2.0) for w in omegas]
+        h = build_hamiltonian(atoms, frame)
+        systems.append((LindbladGenerator(h, same_wedge_rates(frame, atoms)), h))
+    systems.append((counter_wedge_four(), None))
+    zero_tol = 1e-9 * frame.gamma0
+    for gen, h in systems:
+        parts = [steady_state_analysis(b, zero_tol=zero_tol) for b in gen.invariant_blocks()]
+        assert sum(len(p.eigenvalues) for p in parts) == gen.dim**2
+        dense = steady_state_analysis(build_superoperator(h, gen.rates), zero_tol=zero_tol)
+        assert sum(p.zero_multiplicity for p in parts) == dense.zero_multiplicity
+        # degenerate eigenvalues have no stable sort order, so match them one to one
+        blockwise = np.concatenate([p.eigenvalues for p in parts])
+        cost = np.abs(blockwise[:, None] - dense.eigenvalues[None, :])
+        rows, cols = linear_sum_assignment(cost)
+        assert cost[rows, cols].max() < 1e-10
