@@ -6,7 +6,7 @@ frequency, time in units of its inverse.
 """
 
 from .bec import (BogoliubovBath, BogoliubovMode, DetectorModelMap, TweezerSpec,
-                  TwoLevelResult, bogoliubov_mode, bound_state_count, coupling_tensor,
+                  bogoliubov_mode, bound_state_count, coupling_tensor,
                   map_to_detector_model, resonant_wavenumber, transition_energy,
                   two_level_window, variational_width)
 from .dynamics import (TimeSeries, all_excited, all_ground, coherence_measure,

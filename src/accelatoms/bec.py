@@ -70,13 +70,6 @@ class TweezerSpec:
             raise DomainError(f"coupling g must be >= 0, got {self.g}")
 
 
-@dataclass(frozen=True)
-class TwoLevelResult:
-    a0: float
-    Omega: float
-    n_b: int
-
-
 def bogoliubov_mode(bath: BogoliubovBath, k: float) -> BogoliubovMode:
     """Energy, coefficients and structure factor of one Bogoliubov mode.
 
@@ -177,13 +170,6 @@ def transition_energy(tweezer: TweezerSpec, a0: float) -> float:
     potential = math.sqrt(2.0) * tweezer.V0 * math.sqrt(2.0 * a2 * a2 + a2 * a2 * a2 / w2) \
         / (a2 + 2.0 * w2) ** 2
     return kinetic - potential
-
-
-def two_level_atom(tweezer: TweezerSpec) -> TwoLevelResult:
-    """Convenience bundle: variational width, transition energy, bound count."""
-    a0 = variational_width(tweezer)
-    n_closed, n_numeric = bound_state_count(tweezer)
-    return TwoLevelResult(a0=a0, Omega=transition_energy(tweezer, a0), n_b=n_numeric)
 
 
 def coupling_tensor(bath: BogoliubovBath, mode: BogoliubovMode, a0: float,

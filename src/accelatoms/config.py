@@ -9,11 +9,15 @@ base + step*(j-1)). All simulation quantities are in natural units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError
 
 SCHEMA_VERSION = 1
+# The largest sector at N = 10 holds C(20, 10) = 184756 density-matrix pairs;
+# from 37 nonzeros per row of L at N = 6 and 65 at N = 8 its CSR matrix is
+# about 0.5 GB. At N = 12 the sector has 2.7 M pairs, beyond 8 GB of memory.
+N_ATOMS_MAX = 10
 
 SCENARIOS = ("equal_acceleration_sweep", "mismatch_cases", "counter_wedge",
              "bec_design", "custom")
@@ -97,28 +101,18 @@ def _parse_pair(raw: str) -> tuple[int, int]:
     return parts[0], parts[1]
 
 
+# keyed by the field annotation, a string under `from __future__ import
+# annotations`; parse_config strips each value before parsing it
 _PARSERS = {
-    int: lambda raw: int(raw.strip()),
-    float: lambda raw: float(raw.strip()),
-    bool: _parse_bool,
-    str: lambda raw: raw.strip(),
-    "floats": _parse_floats,
-    "strs": _parse_strs,
-    "pair": _parse_pair,
-    "optfloat": lambda raw: float(raw.strip()),
+    "int": int,
+    "float": float,
+    "float | None": float,
+    "bool": _parse_bool,
+    "str": str,
+    "tuple[float, ...]": _parse_floats,
+    "tuple[str, ...]": _parse_strs,
+    "tuple[int, int]": _parse_pair,
 }
-
-_FIELD_KINDS = {
-    "omegas": "floats", "sweep_alphas": "floats", "deltas_resonant": "floats",
-    "tweezer_waists": "floats", "tweezer_positions": "floats",
-    "wedges": "strs", "concurrence_pair": "pair", "a_ref": "optfloat",
-}
-
-
-def _field_kind(f):
-    return _FIELD_KINDS.get(f.name, f.type if isinstance(f.type, type) else
-                            {"int": int, "float": float, "bool": bool, "str": str,
-                             "float | None": "optfloat"}.get(f.type, str))
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -140,7 +134,7 @@ def parse_config(text: str) -> ScenarioConfig:
         if key in values:
             diagnostics.append(f"line {lineno}: duplicate key {key!r}")
             continue
-        parser = _PARSERS[_field_kind(known[key])]
+        parser = _PARSERS[known[key].type]
         try:
             values[key] = parser(raw)
         except ValueError as exc:
@@ -223,6 +217,9 @@ def validate(config: ScenarioConfig) -> list[str]:
     if n < 1:
         diags.append("n_atoms: must be >= 1")
         return diags
+    if n > N_ATOMS_MAX:
+        diags.append(f"n_atoms: must be <= {N_ATOMS_MAX}, got {n}")
+        return diags
     if config.dt <= 0:
         diags.append("dt: must be > 0")
     if config.t_max <= 0:
@@ -252,7 +249,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.append(f"alphas: {exc}")
         alphas = None
     try:
-        resolve_couplings(config)
+        if any(g < 0 for g in resolve_couplings(config)):
+            diags.append("couplings: all coupling weights must be >= 0")
     except ConfigError as exc:
         diags.extend(exc.diagnostics)
     except ValueError as exc:

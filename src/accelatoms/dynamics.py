@@ -23,6 +23,7 @@ __all__ = [
 # hard invariant tolerances for the integrator
 _TRACE_HARD = 1e-6
 _EIG_HARD = -1e-6
+_CHECK_EVERY = 100  # steps between hard checks of the full rho
 
 
 @dataclass
@@ -65,24 +66,12 @@ def populations(rho: np.ndarray) -> np.ndarray:
     return np.array([population(rho, j) for j in range(n)])
 
 
-def _popcounts(n: int) -> np.ndarray:
-    b = np.arange(2**n)
-    out = np.zeros(2**n)
-    for j in range(n):
-        out += (b >> j) & 1
-    return out
-
-
-def _emission_rate(rhs_val: np.ndarray, popcount: np.ndarray) -> float:
-    # R = -sum_j Tr(n_j drho/dt): each diagonal entry weighted by its set bits
-    return float(-(rhs_val.diagonal().real @ popcount))
-
-
 def total_emission_rate(rho: np.ndarray, H: np.ndarray | None, rates: RateSet,
                         cross_pairing: str = "anomalous") -> float:
     """Exact instantaneous -d P_tot/dt evaluated from the generator."""
-    gen = LindbladGenerator(H, rates, cross_pairing)
-    return _emission_rate(gen.rhs(np.asarray(rho, dtype=complex)), _popcounts(gen.n_atoms))
+    rho = np.asarray(rho)
+    sector = LindbladGenerator(H, rates, cross_pairing).sector(rho)
+    return -float((sector.emission @ rho.ravel()[sector.pairs]).real)
 
 
 @lru_cache(maxsize=2048)
@@ -151,17 +140,15 @@ def concurrence(rho2: np.ndarray) -> float:
 
 def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
            t_max: float, dt: float = 1e-3, record_every: int = 10,
-           retain_states: bool = False, check_every: int = 100,
-           concurrence_pair: tuple[int, int] = (0, 1),
+           retain_states: bool = False, concurrence_pair: tuple[int, int] = (0, 1),
            cross_pairing: str = "anomalous") -> TimeSeries:
     """Fixed-step RK4 integration of the master equation.
 
-    The state is kept as the vector of its entries on the pairs (a, b)
-    reachable from the support of rho0, which the generator maps into
-    themselves; a step costs four products with the sparse L on them.
-    The state is re-Hermitized and trace-renormalized after every step (drift
-    is logged in max_trace_drift) and invariants are hard-checked on the full
-    rho every `check_every` steps; a breach raises IntegrationError with the
+    The state is kept as the vector of its entries on the sector of rho0
+    (`LindbladGenerator.sector`); a step costs four products with its sparse
+    L. The state is re-Hermitized and trace-renormalized after every step
+    (drift is logged in max_trace_drift) and invariants are hard-checked on
+    the full rho every 100 steps; a breach raises IntegrationError with the
     step index. Observables are recorded every `record_every` steps and at the
     final time.
     """
@@ -173,10 +160,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     if abs(t_max / dt - nsteps) > 1e-9 * nsteps:
         raise DomainError(f"t_max = {t_max} is not a whole number of steps dt = {dt}")
     gen = LindbladGenerator(H, rates, cross_pairing)
-    n, dim = gen.n_atoms, gen.dim
+    n = gen.n_atoms
     rho = np.array(rho0, dtype=complex)
-    if rho.shape != (dim, dim):
-        raise DomainError(f"rho0 has shape {rho.shape}, expected {(dim, dim)}")
     check_density_matrix(rho)
     if n >= 2:
         pair = concurrence_pair
@@ -184,25 +169,13 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
             raise DomainError(f"concurrence_pair {pair} invalid for {n} atoms")
     else:
         pair = None
-
-    pairs = gen.reachable(np.flatnonzero((rho != 0) | (rho.T != 0)))
-    L = gen.assemble(pairs)
-    a, b = np.divmod(pairs, dim)
-    swap = np.searchsorted(pairs, b * dim + a)  # position of (b, a)
-    diag = np.flatnonzero(a == b)
-    # R_tot = -sum_a popcount(a) d rho_aa/dt = -Re(r . v) with r = L^T w
-    emission = L.T @ np.where(a == b, _popcounts(n)[a], 0.0)
-    v = rho.ravel()[pairs]
+    sector = gen.sector(rho)
+    v = rho.ravel()[sector.pairs]
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
     times, rows, states = [], [], ([] if retain_states else None)
     max_drift = 0.0
-
-    def full_state():
-        out = np.zeros(dim * dim, dtype=complex)
-        out[pairs] = v
-        return out.reshape(dim, dim)
 
     def hard_check(rho, step):
         if not np.isfinite(rho).all():
@@ -218,12 +191,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         return trace_err, min_eig
 
     def record(step):
-        rho = full_state()
+        rho = sector.scatter(v)
         trace_err, min_eig = hard_check(rho, step)
         pops = populations(rho)
         conc = concurrence(partial_trace(rho, pair)) if pair else 0.0
         times.append(step * dt)
-        rows.append(list(pops) + [pops.sum(), -float((emission @ v).real),
+        rows.append(list(pops) + [pops.sum(), -float((sector.emission @ v).real),
                                   coherence_measure(rho), conc, trace_err, min_eig])
         if states is not None:
             states.append(rho)
@@ -237,22 +210,22 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
             record(step)
         w = v
         for c in horner:
-            w = v + c * (L @ w)
+            w = v + c * (sector.L @ w)
         v = w
         # the Hermitized state has the trace Re(sum of the diagonal entries)
-        tr = float(v[diag].sum().real)
+        tr = float(v[sector.diag].sum().real)
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
             raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
                                    f"tolerance {_TRACE_HARD}", step=step)
         max_drift = max(max_drift, abs(tr - 1.0))
-        v = (v + v[swap].conj()) * (0.5 / tr)
-        if (step + 1) % check_every == 0 or step == nsteps - 1:
-            hard_check(full_state(), step)
+        v = (v + v[sector.swap].conj()) * (0.5 / tr)
+        if (step + 1) % _CHECK_EVERY == 0 or step == nsteps - 1:
+            hard_check(sector.scatter(v), step)
     record(nsteps)
 
     return TimeSeries(times=np.array(times), columns=columns,
                       records=np.array(rows), concurrence_pair=pair or (0, 0),
-                      states=states, max_trace_drift=max_drift, final_state=full_state())
+                      states=states, max_trace_drift=max_drift, final_state=sector.scatter(v))
 
 
 @lru_cache(maxsize=256)

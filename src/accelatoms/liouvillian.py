@@ -141,6 +141,28 @@ def _flip(op: tuple[int, bool]) -> tuple[int, bool]:
     return op[0], not op[1]
 
 
+@dataclass(frozen=True)
+class Sector:
+    """A set of density-matrix pairs closed under the generator, with L on it.
+
+    A state on the sector is the vector v = rho.ravel()[pairs] of its entries
+    there, and d v/dt = L @ v.
+    """
+
+    dim: int
+    pairs: np.ndarray        # sorted pair indices p = a * dim + b
+    L: sp.csr_array
+    swap: np.ndarray         # position of (b, a) for each pair (a, b)
+    diag: np.ndarray         # positions of the pairs (a, a)
+    emission: np.ndarray     # R_tot = -Re(emission @ v)
+
+    def scatter(self, v: np.ndarray) -> np.ndarray:
+        """The full dim x dim rho with entries v on the pairs, zero elsewhere."""
+        out = np.zeros(self.dim * self.dim, dtype=complex)
+        out[self.pairs] = v
+        return out.reshape(self.dim, self.dim)
+
+
 class LindbladGenerator:
     """The master equation compiled to basis maps over density-matrix pairs.
 
@@ -148,9 +170,9 @@ class LindbladGenerator:
     the pair (a, b) to at most one pair (f(a), g(b)) with a constant weight;
     f and g are computed by bit arithmetic. Terms that leave the pair in place
     (H and the diagonal parts of the no-jump terms) are folded into one
-    diagonal weight. From these maps the generator finds the pairs reachable
-    from a state's support and assembles the sparse matrix L on them, with
-    pair index p = a * dim + b (the row-major position in rho).
+    diagonal weight. From these maps `sector` finds the pairs reachable from
+    a state's support and assembles the sparse matrix L on them, with pair
+    index p = a * dim + b (the row-major position in rho).
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -161,16 +183,15 @@ class LindbladGenerator:
         self.n_atoms = n
         self.dim = dim
         self.rates = rates
-        self.cross_pairing = cross_pairing
-        self.H = None if H is None else np.asarray(H, dtype=complex)
         ident = np.arange(dim)
         self._left_diag = np.zeros(dim, dtype=complex)
         self._right_diag = np.zeros(dim, dtype=complex)
-        if self.H is not None:
-            if self.H.shape != (dim, dim):
-                raise DomainError(f"H has shape {self.H.shape}, expected {(dim, dim)}")
-            h = self.H.diagonal()
-            if np.any(self.H - np.diag(h)):
+        if H is not None:
+            H = np.asarray(H, dtype=complex)
+            if H.shape != (dim, dim):
+                raise DomainError(f"H has shape {H.shape}, expected {(dim, dim)}")
+            h = H.diagonal()
+            if np.any(H - np.diag(h)):
                 raise DomainError("H must be diagonal in the computational basis")
             self._left_diag -= 1j * h
             self._right_diag += 1j * h
@@ -244,17 +265,29 @@ class LindbladGenerator:
                 rows, cols, vals, size = [], [], [], 0
         return total
 
+    def sector(self, rho: np.ndarray) -> Sector:
+        """The pairs reachable from the support of rho and of rho.T, with L
+        assembled on them. L commutes with Hermitian conjugation, so the
+        pairs are closed under (a, b) -> (b, a)."""
+        rho = np.asarray(rho)
+        dim = self.dim
+        if rho.shape != (dim, dim):
+            raise DomainError(f"state has shape {rho.shape}, expected {(dim, dim)}")
+        pairs = self.reachable(np.flatnonzero((rho != 0) | (rho.T != 0)))
+        L = self.assemble(pairs)
+        a, b = np.divmod(pairs, dim)
+        # R_tot = -sum_a popcount(a) d rho_aa/dt = -Re(r . v) with r = L^T w,
+        # w the popcounts on the diagonal pairs
+        popcount = sum((a >> j) & 1 for j in range(self.n_atoms))
+        emission = L.T @ np.where(a == b, popcount, 0.0)
+        return Sector(dim=dim, pairs=pairs, L=L, swap=np.searchsorted(pairs, b * dim + a),
+                      diag=np.flatnonzero(a == b), emission=emission)
+
     def rhs(self, rho: np.ndarray) -> np.ndarray:
-        """d rho/dt, assembled on the pairs reachable from rho's support."""
-        rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim, self.dim):
-            raise DomainError(f"state has shape {rho.shape}, expected "
-                              f"{(self.dim, self.dim)}")
-        flat = rho.ravel()
-        pairs = self.reachable(np.flatnonzero(flat))
-        out = np.zeros(self.dim * self.dim, dtype=complex)
-        out[pairs] = self.assemble(pairs) @ flat[pairs]
-        return out.reshape(self.dim, self.dim)
+        """d rho/dt, assembled on the sector of rho."""
+        rho = np.asarray(rho)
+        s = self.sector(rho)
+        return s.scatter(s.L @ rho.ravel()[s.pairs])
 
     rhs_hermitian = rhs  # alias: rhs accepts any rho, Hermitian or not
 

@@ -1,6 +1,8 @@
+from dataclasses import fields
+
 import pytest
 
-from accelatoms import CapacityError, ConfigError, NoRootError
+from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
 from accelatoms.config import ScenarioConfig, parse_config, validate
 
@@ -138,19 +140,43 @@ def test_validate_rejects_partial_final_step(tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_cli_maps_run_path_errors_to_exit_2(tmp_path, capsys, monkeypatch):
-    # a negative coupling passes validate and is rejected by AtomSpec at run time
+def test_validate_rejects_negative_couplings(tmp_path):
     path = tmp_path / "coupling.cfg"
     path.write_text(GOOD + "couplings = -1, 1\n")
+    assert any(d.startswith("couplings:") for d in validate(parse_config(path.read_text())))
+    assert cli.main(["validate", str(path)]) == 2
     assert cli.main(["run", str(path), "--out", str(tmp_path / "c")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and len(err.strip().splitlines()) == 1
-    for exc in (NoRootError("no bound state"), CapacityError("too many atoms")):
+
+
+def test_validate_caps_atom_number(tmp_path):
+    assert validate(ScenarioConfig(n_atoms=10)) == []
+    path = tmp_path / "big.cfg"
+    path.write_text(GOOD.replace("n_atoms = 2", "n_atoms = 30"))
+    assert any(d.startswith("n_atoms:") for d in validate(parse_config(path.read_text())))
+    assert cli.main(["validate", str(path)]) == 2
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "b")]) == 2
+
+
+def test_cli_maps_run_path_errors_to_exit_2(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "run.cfg"
+    path.write_text(GOOD)
+    for exc in (DomainError("coupling weight g must be >= 0"),
+                NoRootError("no bound state"), CapacityError("too many atoms")):
         def fail(*args, exc=exc, **kwargs):
             raise exc
         monkeypatch.setattr(cli, "run_scenario", fail)
         assert cli.main(["run", str(path), "--out", str(tmp_path / "c")]) == 2
         assert capsys.readouterr().err == f"input error: {exc}\n"
+
+
+def test_every_field_parses_back_from_its_default_text():
+    default = ScenarioConfig(a_ref=2.0)
+
+    def text(value):
+        return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    lines = [f"{f.name} = {text(getattr(default, f.name))}" for f in fields(ScenarioConfig)]
+    assert parse_config("\n".join(lines)) == default
 
 
 def test_cli_unknown_preset(tmp_path):

@@ -133,6 +133,9 @@ def test_superoperator_matches_rhs_and_preserves_trace():
         rho = random_hermitian(rng, 4)
         direct = lindblad_rhs(rho, h, rs)
         assert np.abs(unvec(L @ vec(rho), 4) - direct).max() < 1e-10
+    rho = np.zeros((4, 4), dtype=complex)
+    rho[1, 2] = 1.0  # neither Hermitian nor symmetric under transpose
+    assert np.abs(unvec(L @ vec(rho), 4) - lindblad_rhs(rho, h, rs)).max() < 1e-12
     assert np.abs(vec(np.eye(4)).conj() @ L).max() < 1e-12
 
 
@@ -282,6 +285,13 @@ def test_reachable_sector_of_product_states():
     expected = unvec(oracle @ vec(rho), 16).ravel()
     assert np.abs(L @ rho.ravel()[literal] - expected[literal]).max() < 1e-12
     assert np.abs(np.delete(expected, literal)).max() < 1e-12
+
+
+def test_sector_swap_maps_each_pair_to_its_transpose():
+    sector = counter_wedge_four().sector(all_ground(4))
+    a, b = np.divmod(sector.pairs, 16)
+    assert np.array_equal(sector.pairs[sector.swap], b * 16 + a)
+    assert np.array_equal(sector.swap[sector.swap], np.arange(len(sector.pairs)))
 
 
 def test_invariant_block_spectrum_matches_superoperator():
