@@ -86,8 +86,15 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError(f"not a boolean: {raw!r}")
 
 
+def _parse_float(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {raw.strip()!r}")
+    return value
+
+
 def _parse_floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+    return tuple(_parse_float(tok) for tok in raw.split(",") if tok.strip())
 
 
 def _parse_strs(raw: str) -> tuple[str, ...]:
@@ -105,8 +112,8 @@ def _parse_pair(raw: str) -> tuple[int, int]:
 # annotations`; parse_config strips each value before parsing it
 _PARSERS = {
     "int": int,
-    "float": float,
-    "float | None": float,
+    "float": _parse_float,
+    "float | None": _parse_float,
     "bool": _parse_bool,
     "str": str,
     "tuple[float, ...]": _parse_floats,
@@ -154,7 +161,7 @@ def resolve_alphas(config: ScenarioConfig) -> list[float]:
     raw = config.alphas.strip()
     n = config.n_atoms
     if raw.startswith("equal:"):
-        return [float(raw.split(":", 1)[1])] * n
+        return [_parse_float(raw.split(":", 1)[1])] * n
     if raw.startswith("mismatch:"):
         base, step = _parse_floats(raw.split(":", 1)[1])
         return [base + step * j for j in range(n)]
@@ -167,7 +174,7 @@ def resolve_alphas(config: ScenarioConfig) -> list[float]:
 def resolve_couplings(config: ScenarioConfig) -> list[float]:
     raw = config.couplings.strip()
     if raw.startswith("equal:"):
-        return [float(raw.split(":", 1)[1])] * config.n_atoms
+        return [_parse_float(raw.split(":", 1)[1])] * config.n_atoms
     vals = list(_parse_floats(raw))
     if len(vals) != config.n_atoms:
         raise ConfigError([f"couplings: expected {config.n_atoms} entries, got {len(vals)}"])

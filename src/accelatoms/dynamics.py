@@ -69,9 +69,8 @@ def populations(rho: np.ndarray) -> np.ndarray:
 def total_emission_rate(rho: np.ndarray, H: np.ndarray | None, rates: RateSet,
                         cross_pairing: str = "anomalous") -> float:
     """Exact instantaneous -d P_tot/dt evaluated from the generator."""
-    rho = np.asarray(rho)
     sector = LindbladGenerator(H, rates, cross_pairing).sector(rho)
-    return -float((sector.emission @ rho.ravel()[sector.pairs]).real)
+    return -float((sector.emission @ sector.gather(rho)).real)
 
 
 @lru_cache(maxsize=2048)
@@ -144,13 +143,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
            cross_pairing: str = "anomalous") -> TimeSeries:
     """Fixed-step RK4 integration of the master equation.
 
-    The state is kept as the vector of its entries on the sector of rho0
-    (`LindbladGenerator.sector`); a step costs four products with its sparse
-    L. The state is re-Hermitized and trace-renormalized after every step
-    (drift is logged in max_trace_drift) and invariants are hard-checked on
-    the full rho every 100 steps; a breach raises IntegrationError with the
-    step index. Observables are recorded every `record_every` steps and at the
-    final time.
+    The state is kept as the block vector u of the lumped sector of rho0
+    (`LindbladGenerator.sector`); a step costs four products with its L_hat.
+    The state is re-Hermitized and trace-renormalized after every step (drift
+    is logged in max_trace_drift) and invariants are hard-checked on the full
+    rho every 100 steps; a breach raises IntegrationError with the step index.
+    Observables are recorded every `record_every` steps and at the final time.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
@@ -170,7 +168,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     else:
         pair = None
     sector = gen.sector(rho)
-    v = rho.ravel()[sector.pairs]
+    u = sector.gather(rho)
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
@@ -191,41 +189,41 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         return trace_err, min_eig
 
     def record(step):
-        rho = sector.scatter(v)
+        rho = sector.scatter(u)
         trace_err, min_eig = hard_check(rho, step)
         pops = populations(rho)
         conc = concurrence(partial_trace(rho, pair)) if pair else 0.0
         times.append(step * dt)
-        rows.append(list(pops) + [pops.sum(), -float((sector.emission @ v).real),
+        rows.append(list(pops) + [pops.sum(), -float((sector.emission @ u).real),
                                   coherence_measure(rho), conc, trace_err, min_eig])
         if states is not None:
             states.append(rho)
 
     # For a constant linear L the four RK4 stages combine to the degree-4
     # Taylor polynomial of exp(dt L); it is evaluated in Horner form,
-    # v + dt L (v + dt/2 L (v + dt/3 L (v + dt/4 L v))), with the same 4 products.
+    # u + dt L (u + dt/2 L (u + dt/3 L (u + dt/4 L u))), with the same 4 products.
     horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
     for step in range(nsteps):
         if step % record_every == 0:
             record(step)
-        w = v
+        w = u
         for c in horner:
-            w = v + c * (sector.L @ w)
-        v = w
+            w = u + c * (sector.L_hat @ w)
+        u = w
         # the Hermitized state has the trace Re(sum of the diagonal entries)
-        tr = float(v[sector.diag].sum().real)
+        tr = float((sector.diag_count @ u).real)
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
             raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
                                    f"tolerance {_TRACE_HARD}", step=step)
         max_drift = max(max_drift, abs(tr - 1.0))
-        v = (v + v[sector.swap].conj()) * (0.5 / tr)
+        u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
         if (step + 1) % _CHECK_EVERY == 0 or step == nsteps - 1:
-            hard_check(sector.scatter(v), step)
+            hard_check(sector.scatter(u), step)
     record(nsteps)
 
     return TimeSeries(times=np.array(times), columns=columns,
                       records=np.array(rows), concurrence_pair=pair or (0, 0),
-                      states=states, max_trace_drift=max_drift, final_state=sector.scatter(v))
+                      states=states, max_trace_drift=max_drift, final_state=sector.scatter(u))
 
 
 @lru_cache(maxsize=256)

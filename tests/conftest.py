@@ -1,8 +1,14 @@
 import time
 
 import pytest
+from hypothesis import settings
 
 from accelatoms import cli
+
+# property tests draw the same examples on every run, so the suite's result
+# does not depend on the run; no example database is read or written
+settings.register_profile("reproducible", derandomize=True, database=None, deadline=None)
+settings.load_profile("reproducible")
 
 PRESET_NAMES = ("fig2", "fig4", "counter", "bec_design")
 

@@ -1,10 +1,15 @@
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
-from accelatoms.config import ScenarioConfig, parse_config, validate
+from accelatoms.config import (INITIAL_STATES, OMEGA_RULES, SCENARIOS, ScenarioConfig,
+                               parse_config, validate)
 
 GOOD = """\
 schema_version = 1
@@ -148,6 +153,43 @@ def test_validate_rejects_negative_couplings(tmp_path):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "c")]) == 2
 
 
+def _assert_rejected(tmp_path, capsys, text, field):
+    # validate and run both exit 2 with a one-line diagnostic naming the field
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(text)
+    assert cli.main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and f"{field}: must be a finite number" in out[0]
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and f"{field}:" in err[0]
+
+
+def test_nonfinite_t_max_is_rejected(tmp_path, capsys):
+    for value in ("inf", "nan", "-inf"):
+        _assert_rejected(tmp_path, capsys, GOOD.replace("t_max = 1", f"t_max = {value}"),
+                         "t_max")
+
+
+def test_nonfinite_dt_is_rejected(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, GOOD.replace("dt = 0.01", "dt = nan"), "dt")
+
+
+def test_nonfinite_couplings_are_rejected(tmp_path, capsys):
+    for value in ("nan, 1", "1, inf", "equal: nan"):
+        _assert_rejected(tmp_path, capsys, GOOD + f"couplings = {value}\n", "couplings")
+
+
+def test_nonfinite_alphas_are_rejected(tmp_path, capsys):
+    for value in ("equal: nan", "equal: inf", "2, nan"):
+        _assert_rejected(tmp_path, capsys, GOOD.replace("alphas = equal: 2", f"alphas = {value}"),
+                         "alphas")
+
+
+def test_nonfinite_gamma0_is_rejected(tmp_path, capsys):
+    _assert_rejected(tmp_path, capsys, GOOD + "gamma0 = nan\n", "gamma0")
+
+
 def test_validate_caps_atom_number(tmp_path):
     assert validate(ScenarioConfig(n_atoms=10)) == []
     path = tmp_path / "big.cfg"
@@ -199,3 +241,54 @@ def test_cli_seed_flag_accepted(tmp_path):
     cfg_path.write_text(GOOD)
     assert cli.main(["run", str(cfg_path), "--out", str(tmp_path / "s"),
                      "--seed", "42"]) == 0
+
+
+def _values_for(field) -> st.SearchStrategy[str]:
+    """Value text for one schema key: valid values next to non-finite,
+    out-of-range and malformed ones. The keys that set the cost of a run are
+    held to N <= 3 atoms, at most 10 steps and grids of at most 3 points."""
+    odd = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "x"]
+    special = {
+        "schema_version": ["1", "1", "1", "2", "x"],
+        "scenario": [*SCENARIOS, "bogus"],
+        "n_atoms": ["1", "2", "3", "0", "-1", "11", "x"],
+        "t_max": ["0.05", "0.1", "0", "-1", "nan", "inf", "x"],
+        "dt": ["0.01", "0.025", "0.03", "0.05", "1", "0", "-0.01", "nan"],
+        "record_every": ["1", "3", "0", "-1", "x"],
+        "k_points": ["2", "3", "1", "-1"],
+        "waist_points": ["2", "3", "1", "-1"],
+        "nb_grid_points": ["2", "3", "1", "-1"],
+        "alphas": ["equal: 2", "equal: nan", "equal: -1", "mismatch: 0.2, 0.6",
+                   "mismatch: 1", "1, 2", "2, 2, 2", "nan, 1", "-1, 1", "", "equal:"],
+        "couplings": ["equal: 1", "equal: inf", "equal: -1", "0.5, 1", "1, 1, 1", "nan, 1",
+                      "-1, 1", ""],
+        "omega_rule": [*OMEGA_RULES, "bogus"],
+        "initial_state": [*INITIAL_STATES, "bogus"],
+        "initial_pattern": ["", "e", "eg", "gge", "x"],
+        "wedges": ["", "I", "I, II", "II, I", "I, I, II", "III"],
+        "concurrence_pair": ["1, 2", "1, 3", "2, 2", "0, 1", "1", "x"],
+        "retain_states": ["true", "false", "maybe"],
+    }
+    by_type = {
+        "int": ["1", "2", *odd],
+        "float": ["0.1", "0.5", "1", "2", *odd],
+        "float | None": ["1", "2", *odd],
+        "tuple[float, ...]": ["", "1", "1, 2", "0.5, 1.5, 2", "nan", "-1, 2", "0"],
+    }
+    return st.sampled_from(special.get(field.name) or by_type[field.type])
+
+
+_SCHEMA = {f.name: _values_for(f) for f in fields(ScenarioConfig) if f.name != "output_path"}
+
+
+@settings(max_examples=60)
+@given(st.fixed_dictionaries({"schema_version": _SCHEMA["schema_version"]},
+                             optional={k: v for k, v in _SCHEMA.items()
+                                       if k != "schema_version"}))
+def test_random_config_text_exits_0_2_or_3(entries):
+    text = "".join(f"{key} = {value}\n" for key, value in entries.items())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "random.cfg"
+        path.write_text(text)
+        assert cli.main(["validate", str(path)]) in (0, 2)
+        assert cli.main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 
 from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig
@@ -292,6 +293,64 @@ def test_sector_swap_maps_each_pair_to_its_transpose():
     a, b = np.divmod(sector.pairs, 16)
     assert np.array_equal(sector.pairs[sector.swap], b * 16 + a)
     assert np.array_equal(sector.swap[sector.swap], np.arange(len(sector.pairs)))
+    # the blocks are closed under the swap too, also for a non-Hermitian state
+    assert np.array_equal(sector.block_swap[sector.labels], sector.labels[sector.swap])
+    # uncoupled atoms (L = 0): the zeros at (1, 0) and (3, 2) are equal, but
+    # their transposes are not, so they stay apart
+    frame = FrameConfig(a=1.0)
+    rs = same_wedge_rates(frame, [AtomSpec(omega=1.0, alpha=1.0, g=0.0)] * 2)
+    rho = np.zeros((4, 4))
+    rho[0, 1], rho[2, 3] = 1.0, 2.0
+    sector = LindbladGenerator(None, rs).sector(rho)
+    assert np.array_equal(sector.block_swap[sector.labels], sector.labels[sector.swap])
+
+
+def test_lumping_finds_the_symmetric_blocks():
+    # fig2: six co-located identical atoms, all excited: the 924 pairs of equal
+    # excitation number lump into the 7 rungs of the Dicke ladder
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    sector = gen.sector(all_excited(6))
+    assert len(sector.pairs) == 924 and sector.L_hat.shape == (7, 7)
+    a, b = np.divmod(sector.pairs, 64)
+    popcount = np.array([bin(k).count("1") for k in range(64)])
+    assert len(set(zip(sector.labels, popcount[a]))) == 7
+    assert sector.diag_count.sum() == 64
+    # the N = 4 counter wedges from the ground state: 70 pairs in 10 blocks
+    sector = counter_wedge_four().sector(all_ground(4))
+    assert len(sector.pairs) == 70 and sector.L_hat.shape == (10, 10)
+    # the lumped generator reproduces L on every state constant on the blocks
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=10) + 1j * rng.normal(size=10)
+    L = counter_wedge_four().assemble(sector.pairs)
+    assert np.abs(L @ u[sector.labels] - (sector.L_hat @ u)[sector.labels]).max() < 1e-13
+
+
+def test_lumping_leaves_distinct_atoms_unreduced():
+    frame = FrameConfig(a=0.2)
+    atoms = [AtomSpec(omega=1.0, alpha=al) for al in (0.2, 0.8, 1.4)]
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    sector = gen.sector(all_excited(3))
+    m = len(sector.pairs)
+    assert np.array_equal(sector.labels, np.arange(m))
+    assert sector.L_hat.shape == (m, m)
+    assert abs(sector.L_hat - gen.assemble(sector.pairs)).max() == 0
+
+
+def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
+    gen = counter_wedge_four()
+    lumped = gen.sector(all_ground(4))
+    exact = gen.assemble(lumped.pairs)
+    # one diagonal entry in the largest block moves far below the refinement's
+    # gap and far above the certificate's tolerance
+    i = np.flatnonzero(lumped.labels == np.bincount(lumped.labels).argmax())[-1]
+    delta = 1e-11 * np.abs(exact.data).max()
+    perturbed = exact + sp.csr_array(([delta], ([i], [i])), shape=exact.shape)
+    monkeypatch.setattr(gen, "assemble", lambda pairs: perturbed)
+    sector = gen.sector(all_ground(4))
+    assert np.array_equal(sector.labels, np.arange(70))
+    assert sector.L_hat is perturbed
 
 
 def test_invariant_block_spectrum_matches_superoperator():
