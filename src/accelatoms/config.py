@@ -18,6 +18,11 @@ SCHEMA_VERSION = 1
 # from 37 nonzeros per row of L at N = 6 and 65 at N = 8 its CSR matrix is
 # about 0.5 GB. At N = 12 the sector has 2.7 M pairs, beyond 8 GB of memory.
 N_ATOMS_MAX = 10
+# A step costs about 50 us on a lumped N = 6 sector and 0.5 ms on an unlumped
+# one (924 pairs), so 10^7 steps take 8 minutes to 1.5 hours. Recorded every
+# step, their 10^7 rows hold N + 7 floats each, 1.4 GB at N = 10, and the CSV
+# takes about 4 GB.
+N_STEPS_MAX = 10**7
 
 SCENARIOS = ("equal_acceleration_sweep", "mismatch_cases", "counter_wedge",
              "bec_design", "custom")
@@ -235,7 +240,10 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.append(f"dt: must be < t_max ({config.dt} >= {config.t_max})")
     elif config.dt > 0:
         steps = config.t_max / config.dt
-        if abs(steps - round(steps)) > 1e-9 * steps:
+        if steps > N_STEPS_MAX:
+            diags.append(f"dt: t_max / dt = {steps:.6g} steps, more than the "
+                         f"{N_STEPS_MAX} a run may take")
+        elif abs(steps - round(steps)) > 1e-9 * steps:
             diags.append(f"t_max: must be a whole number of steps dt ({config.t_max} / "
                          f"{config.dt} = {steps:.6g})")
     if config.record_every < 1:

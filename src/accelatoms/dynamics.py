@@ -10,7 +10,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .liouvillian import LindbladGenerator, check_density_matrix
+from .liouvillian import LindbladGenerator, Sector, check_density_matrix
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
 from .rates import RateSet
 
@@ -23,7 +23,9 @@ __all__ = [
 # hard invariant tolerances for the integrator
 _TRACE_HARD = 1e-6
 _EIG_HARD = -1e-6
-_CHECK_EVERY = 100  # steps between hard checks of the full rho
+_CHECK_EVERY = 100  # steps between hard checks, and between evaluations of the snapshots
+_POP_FLOOR = -1e-9
+_BATCH_ENTRIES = 1 << 20  # evaluate sooner when the snapshots hold this many entries
 
 
 @dataclass
@@ -55,8 +57,11 @@ def population(rho: np.ndarray, j: int) -> float:
     if not 0 <= j < n:
         raise DomainError(f"atom index {j} out of range for {n} atoms")
     mask = (np.arange(2**n) >> j) & 1
-    p = float(rho.diagonal().real @ mask)
-    if p < -1e-9:
+    return _checked_population(float(rho.diagonal().real @ mask), j)
+
+
+def _checked_population(p: float, j: int) -> float:
+    if p < _POP_FLOOR:
         raise DomainError(f"population of atom {j} is {p:.3e} < -1e-9")
     return max(p, 0.0)
 
@@ -121,20 +126,81 @@ _SY_SY = np.array([[0, 0, 0, -1],
                    [-1, 0, 0, 0]], dtype=complex)
 
 
-def concurrence(rho2: np.ndarray) -> float:
+def concurrence(rho2: np.ndarray) -> float | np.ndarray:
     """Two-qubit concurrence from the square roots of the eigenvalues of
-    rho * (sy x sy) rho^* (sy x sy), tiny negative roundoff clamped."""
+    rho * (sy x sy) rho^* (sy x sy), tiny negative roundoff clamped.
+
+    rho2 may carry leading batch axes; then the array of concurrences is
+    returned, and the first failing state in C order raises, with its first
+    failing check.
+    """
     rho2 = np.asarray(rho2, dtype=complex)
-    if rho2.shape != (4, 4):
+    if rho2.shape[-2:] != (4, 4):
         raise DomainError(f"concurrence needs a 4x4 state, got {rho2.shape}")
-    check_density_matrix(rho2, herm_tol=1e-8, trace_tol=1e-8, eig_floor=-1e-9)
+    batch = rho2.shape[:-2]
+    rho2 = rho2.reshape(-1, 4, 4)
     rho_tilde = _SY_SY @ rho2.conj() @ _SY_SY
     evals = np.linalg.eigvals(rho2 @ rho_tilde).real
-    if evals.min() < -1e-9:
-        raise DomainError(f"spectrum of rho*rho_tilde has eigenvalue {evals.min():.3e}")
-    lam = np.sqrt(np.clip(evals, 0.0, None))
-    lam.sort()
-    return max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4])
+    low = evals.min(axis=1)
+    bad = low < -1e-9
+    first = int(bad.argmax()) if bad.any() else len(rho2)
+    # the states up to the first bad spectrum are checked first, as one at a time
+    check_density_matrix(rho2[:first + 1], herm_tol=1e-8, trace_tol=1e-8, eig_floor=-1e-9)
+    if first < len(rho2):
+        raise DomainError(f"spectrum of rho*rho_tilde has eigenvalue {low[first]:.3e}")
+    lam = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=1)
+    conc = np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
+    return conc.reshape(batch) if batch else float(conc[0])
+
+
+class RecordMap:
+    """The recorded observables of a state on `sector` as linear maps of its
+    block vector u, and the row blocks of rho for its lowest eigenvalue.
+
+    The rows of W are P_1..P_N, Tr rho, <sigma_j^+ sigma_l^-> for j < l and,
+    when `pair` is given, the 16 entries of the pair's reduced state in
+    row-major order: each a 0/1 weight on the sector's pairs, summed over the
+    blocks (`Sector.functionals`). R_tot is the sector's emission row.
+    """
+
+    def __init__(self, sector: Sector, n: int, pair: tuple[int, int] | None):
+        x, y = np.divmod(sector.pairs, sector.dim)
+        diag = x == y
+        weights = [diag & ((x >> j) & 1 == 1) for j in range(n)] + [diag]
+        for j in range(n):
+            for l in range(j + 1, n):
+                # <sigma_j^+ sigma_l^-> = rho[x, y], atom l excited only in x, atom j only in y
+                weights.append(((x ^ y) == (1 << j) | (1 << l))
+                               & ((x >> l) & 1 == 1) & ((x >> j) & 1 == 0))
+        if pair is not None:
+            # entry (r, c) of the reduced state sums rho[x, y] over the pairs
+            # that agree off the kept atoms; pair[0] is the low bit of r and c
+            j, l = pair
+            traced = ((x ^ y) & ~((1 << j) | (1 << l))) == 0
+            entry = (4 * (((x >> j) & 1) + 2 * ((x >> l) & 1))
+                     + ((y >> j) & 1) + 2 * ((y >> l) & 1))
+            weights += [traced & (entry == e) for e in range(16)]
+        self.n_atoms = n
+        self.W = sector.functionals(np.array(weights))
+        self.emission = sector.emission
+        self.blocks = sector.row_blocks()
+
+    def linear(self, U: np.ndarray):
+        """(populations, traces, correlations <sigma_j^+ sigma_l^->, reduced
+        pair states or None, R_tot) of the block vectors in the rows of U."""
+        n = self.n_atoms
+        V = (self.W @ U.T).T
+        corr_end = n + 1 + n * (n - 1) // 2
+        rho2 = V[:, corr_end:].reshape(-1, 4, 4) if V.shape[1] > corr_end else None
+        return (V[:, :n].real, V[:, n], V[:, n + 1:corr_end], rho2,
+                -(U @ self.emission).real)
+
+    def min_eig(self, U: np.ndarray) -> np.ndarray:
+        """Lowest eigenvalue of rho for each block vector in the rows of U,
+        from one stacked eigvalsh per row-block size."""
+        U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
+        return np.min([np.linalg.eigvalsh(U0[:, idx]).min(axis=(1, 2))
+                       for idx in self.blocks], axis=0)
 
 
 def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
@@ -146,9 +212,14 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     The state is kept as the block vector u of the lumped sector of rho0
     (`LindbladGenerator.sector`); a step costs four products with its L_hat.
     The state is re-Hermitized and trace-renormalized after every step (drift
-    is logged in max_trace_drift) and invariants are hard-checked on the full
-    rho every 100 steps; a breach raises IntegrationError with the step index.
-    Observables are recorded every `record_every` steps and at the final time.
+    is logged in max_trace_drift). Observables are recorded every
+    `record_every` steps and at the final time, and invariants are
+    hard-checked every 100 steps. Both are snapshots of u, evaluated together
+    through a `RecordMap` every 100 steps, at the end and before a trace-drift
+    error. The earliest failing snapshot raises as a check at its own step
+    would have: IntegrationError for a non-finite state, a trace error or an
+    eigenvalue below the floor, then DomainError for a negative population or
+    an invalid reduced pair state.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
@@ -169,35 +240,57 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         pair = None
     sector = gen.sector(rho)
     u = sector.gather(rho)
+    record_map = RecordMap(sector, n, pair)
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
     times, rows, states = [], [], ([] if retain_states else None)
+    pending: list[tuple[int, bool, np.ndarray]] = []  # (step, is a record, u)
     max_drift = 0.0
 
-    def hard_check(rho, step):
-        if not np.isfinite(rho).all():
-            raise IntegrationError("state became non-finite", step=step)
-        trace_err = abs(rho.trace().real - 1.0) + abs(rho.trace().imag)
-        if trace_err > _TRACE_HARD:
-            raise IntegrationError(f"trace error {trace_err:.3e} beyond hard "
-                                   f"tolerance {_TRACE_HARD}", step=step)
-        min_eig = float(np.linalg.eigvalsh(rho).min())
-        if min_eig < _EIG_HARD:
-            raise IntegrationError(f"state eigenvalue {min_eig:.3e} below hard "
-                                   f"floor {_EIG_HARD}", step=step)
-        return trace_err, min_eig
+    def snapshot(step, is_record, u):
+        pending.append((step, is_record, u))
+        if len(pending) * len(u) >= _BATCH_ENTRIES:
+            evaluate()
 
-    def record(step):
-        rho = sector.scatter(u)
-        trace_err, min_eig = hard_check(rho, step)
-        pops = populations(rho)
-        conc = concurrence(partial_trace(rho, pair)) if pair else 0.0
-        times.append(step * dt)
-        rows.append(list(pops) + [pops.sum(), -float((sector.emission @ u).real),
-                                  coherence_measure(rho), conc, trace_err, min_eig])
+    def evaluate():
+        if not pending:
+            return
+        steps = np.array([s[0] for s in pending])
+        is_record = np.array([s[1] for s in pending])
+        U = np.array([s[2] for s in pending])
+        pending.clear()
+        finite = np.isfinite(U).all(axis=1)
+        ok = len(U) if finite.all() else int(finite.argmin())
+        U = U[:ok]  # no LAPACK call sees a non-finite state
+        pops, trace, corr, rho2, r_tot = record_map.linear(U)
+        trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
+        min_eig = record_map.min_eig(U)
+        bad = ((trace_err > _TRACE_HARD) | (min_eig < _EIG_HARD)
+               | (is_record[:ok] & (pops < _POP_FLOOR).any(axis=1)))
+        first = int(bad.argmax()) if bad.any() else ok
+        rec = np.flatnonzero(is_record[:first])
+        # raises for the earliest invalid reduced state, all before `first`
+        conc = concurrence(rho2[rec]) if pair else np.zeros(len(rec))
+        if first < len(steps):
+            step = int(steps[first])
+            if first == ok:
+                raise IntegrationError("state became non-finite", step=step)
+            if trace_err[first] > _TRACE_HARD:
+                raise IntegrationError(f"trace error {trace_err[first]:.3e} beyond hard "
+                                       f"tolerance {_TRACE_HARD}", step=step)
+            if min_eig[first] < _EIG_HARD:
+                raise IntegrationError(f"state eigenvalue {min_eig[first]:.3e} below hard "
+                                       f"floor {_EIG_HARD}", step=step)
+            for j, value in enumerate(pops[first]):
+                _checked_population(value, j)
+        p = np.maximum(pops[rec], 0.0)
+        times.extend(steps[rec] * dt)
+        rows.append(np.column_stack([p, p.sum(axis=1), r_tot[rec],
+                                     2.0 * np.abs(corr[rec]).sum(axis=1), conc,
+                                     trace_err[rec], min_eig[rec]]))
         if states is not None:
-            states.append(rho)
+            states.extend(sector.scatter(v) for v in U[rec])
 
     # For a constant linear L the four RK4 stages combine to the degree-4
     # Taylor polynomial of exp(dt L); it is evaluated in Horner form,
@@ -205,7 +298,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
     for step in range(nsteps):
         if step % record_every == 0:
-            record(step)
+            snapshot(step, True, u)
         w = u
         for c in horner:
             w = u + c * (sector.L_hat @ w)
@@ -213,16 +306,19 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         # the Hermitized state has the trace Re(sum of the diagonal entries)
         tr = float((sector.diag_count @ u).real)
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
+            evaluate()  # an earlier snapshot's failure comes first
             raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
                                    f"tolerance {_TRACE_HARD}", step=step)
         max_drift = max(max_drift, abs(tr - 1.0))
         u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
         if (step + 1) % _CHECK_EVERY == 0 or step == nsteps - 1:
-            hard_check(sector.scatter(u), step)
-    record(nsteps)
+            snapshot(step, False, u)
+            evaluate()
+    snapshot(nsteps, True, u)
+    evaluate()
 
     return TimeSeries(times=np.array(times), columns=columns,
-                      records=np.array(rows), concurrence_pair=pair or (0, 0),
+                      records=np.concatenate(rows), concurrence_pair=pair or (0, 0),
                       states=states, max_trace_drift=max_drift, final_state=sector.scatter(u))
 
 

@@ -67,19 +67,25 @@ def build_hamiltonian(atoms: Sequence[AtomSpec], frame: FrameConfig) -> np.ndarr
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
                          trace_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
     """Raise DomainError unless rho is Hermitian, unit trace and positive
-    within the stated tolerances."""
+    within the stated tolerances. rho may carry leading batch axes; then the
+    first failing state in C order raises, with its first failing check."""
     rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DomainError(f"density matrix must be square, got shape {rho.shape}")
-    herm = np.abs(rho - rho.conj().T).max()
-    if herm > herm_tol:
-        raise DomainError(f"density matrix not Hermitian (max deviation {herm:.3e})")
-    tr_err = abs(rho.trace() - 1.0)
-    if tr_err > trace_tol:
-        raise DomainError(f"density matrix trace off by {tr_err:.3e}")
-    min_eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2).min()
-    if min_eig < eig_floor:
-        raise DomainError(f"density matrix has eigenvalue {min_eig:.3e} below {eig_floor}")
+    rho = rho.reshape(-1, *rho.shape[-2:])
+    rho_h = rho.conj().swapaxes(-1, -2)
+    herm = np.abs(rho - rho_h).max(axis=(1, 2))
+    tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh((rho + rho_h) / 2).min(axis=1)
+    bad = (herm > herm_tol) | (tr_err > trace_tol) | (min_eig < eig_floor)
+    if not bad.any():
+        return
+    i = int(bad.argmax())
+    if herm[i] > herm_tol:
+        raise DomainError(f"density matrix not Hermitian (max deviation {herm[i]:.3e})")
+    if tr_err[i] > trace_tol:
+        raise DomainError(f"density matrix trace off by {tr_err[i]:.3e}")
+    raise DomainError(f"density matrix has eigenvalue {min_eig[i]:.3e} below {eig_floor}")
 
 
 def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
@@ -180,6 +186,44 @@ class Sector:
         out = np.zeros(self.dim * self.dim, dtype=complex)
         out[self.pairs] = u[self.labels]
         return out.reshape(self.dim, self.dim)
+
+    def functionals(self, weights: np.ndarray) -> np.ndarray | sp.csr_array:
+        """The linear functionals with pair weights `weights` (one row of
+        len(pairs) weights each) as functionals of the block vector: row r
+        sums weights[r] over each block, so that weights @ v = result @ u for
+        v = u[labels]. Dense when there are few blocks, like L_hat."""
+        r, pos = np.nonzero(weights)
+        out = sp.csr_array((weights[r, pos].astype(complex), (r, self.labels[pos])),
+                           shape=(len(weights), len(self.block_swap)))
+        return out.toarray() if out.shape[1] <= _DENSE_BLOCKS else out
+
+    def row_blocks(self) -> list[np.ndarray]:
+        """rho is block diagonal over the components of the rows that the
+        pairs link. For each component size s, the position in u of every
+        entry of those components' s x s submatrices, shape (count, s, s);
+        an entry outside the sector gets len(u), the index of a zero appended
+        to u. A row in no pair is a component whose one entry is that zero."""
+        dim, k = self.dim, len(self.block_swap)
+        a, b = np.divmod(self.pairs, dim)
+        # component labels by min-label propagation with pointer jumping; the
+        # pairs are closed under (a, b) <-> (b, a), so one direction suffices
+        root = np.arange(dim)
+        while True:
+            new = root.copy()
+            np.minimum.at(new, a, root[b])
+            new = new[new]
+            if np.array_equal(new, root):
+                break
+            root = new
+        rows = np.argsort(root, kind="stable")
+        _, start, size = np.unique(root[rows], return_index=True, return_counts=True)
+        blocks = []
+        for s in np.unique(size):
+            members = rows[start[size == s, None] + np.arange(s)]
+            p = members[:, :, None] * dim + members[:, None, :]
+            i = np.minimum(np.searchsorted(self.pairs, p), len(self.pairs) - 1)
+            blocks.append(np.where(self.pairs[i] == p, self.labels[i], k))
+        return blocks
 
 
 def _lump(L: sp.csr_array, swap: np.ndarray,

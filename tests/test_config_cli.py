@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
-from accelatoms.config import (INITIAL_STATES, OMEGA_RULES, SCENARIOS, ScenarioConfig,
-                               parse_config, validate)
+from accelatoms.config import (INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES, SCENARIOS,
+                               ScenarioConfig, parse_config, validate)
 
 GOOD = """\
 schema_version = 1
@@ -292,3 +292,18 @@ def test_random_config_text_exits_0_2_or_3(entries):
         path.write_text(text)
         assert cli.main(["validate", str(path)]) in (0, 2)
         assert cli.main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+
+
+def test_validate_caps_step_count(tmp_path, capsys):
+    assert validate(ScenarioConfig(t_max=N_STEPS_MAX * 1e-3, dt=1e-3)) == []
+    # 1e299 steps, and a step count that overflows to inf
+    for t_max, dt in (("0.1", "1e-300"), ("1e300", "1e-10")):
+        path = tmp_path / "tiny_dt.cfg"
+        path.write_text(GOOD.replace("t_max = 1", f"t_max = {t_max}")
+                        .replace("dt = 0.01", f"dt = {dt}"))
+        diags = validate(parse_config(path.read_text()))
+        assert len(diags) == 1 and diags[0].startswith("dt:") and str(N_STEPS_MAX) in diags[0]
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == diags
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]

@@ -5,11 +5,13 @@ import pytest
 import scipy.linalg
 
 from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError
-from accelatoms.dynamics import (all_excited, all_ground, coherence_measure, concurrence,
-                                 correlation_oracle, evolve, partial_trace, population,
-                                 populations, product_state, total_emission_rate)
+from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_measure,
+                                 concurrence, correlation_oracle, evolve, partial_trace,
+                                 population, populations, product_state, total_emission_rate)
 from accelatoms.kinematics import kinematic_state, unruh_beta
-from accelatoms.liouvillian import LindbladGenerator, build_hamiltonian, build_superoperator
+from accelatoms.liouvillian import (LindbladGenerator, Sector, build_hamiltonian,
+                                    build_superoperator)
+from accelatoms.operators import sigma_minus, sigma_plus
 from accelatoms.rates import cross_wedge_rates, same_wedge_rates
 
 ZERO_T_A = 1e-3
@@ -175,12 +177,20 @@ def test_concurrence_reference_states():
     assert concurrence(werner) == pytest.approx(0.25, rel=1e-10)
     with pytest.raises(DomainError):
         concurrence(np.diag([1.2, -0.2, 0.0, 0.0]).astype(complex))
+    # a batch raises for its first failing state, with that state's first failing check
+    off_trace = np.diag([0.5, 0.0, 0.0, 0.0]).astype(complex)
+    skew = np.outer(bell, bell.conj()) + np.diag([0.0, 1j, -1j, 0.0])
+    with pytest.raises(DomainError, match="trace off"):
+        concurrence(np.array([werner, off_trace, skew]))
+    with pytest.raises(DomainError, match="not Hermitian"):
+        concurrence(np.array([werner, skew, off_trace]))
 
 
 def test_concurrence_agrees_with_matrix_square_root_route():
     sy = np.array([[0, -1j], [1j, 0]])
     sysy = np.kron(sy, sy)
     rng = np.random.default_rng(29)
+    states = []
     for _ in range(20):
         g = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         rho = g @ g.conj().T
@@ -191,6 +201,8 @@ def test_concurrence_agrees_with_matrix_square_root_route():
         lam = np.sort(np.linalg.eigvalsh((r + r.conj().T) / 2))
         reference = max(0.0, lam[-1] - lam[-2] - lam[-3] - lam[-4])
         assert concurrence(rho) == pytest.approx(reference, abs=1e-9)
+        states.append(rho)
+    assert concurrence(np.array(states)).tolist() == [concurrence(st) for st in states]
 
 
 def test_picture_invariance_of_coacc_observables():
@@ -352,3 +364,112 @@ def test_lumped_evolve_matches_unreduced_rk4():
         expected = _reference_states(gen, rho0, sector.pairs, dt, nsteps, record_every)
         assert len(ts.states) == len(expected) == nsteps // record_every + 1
         assert max(np.abs(s - e).max() for s, e in zip(ts.states, expected)) < 1e-12
+
+
+def _record_map_cases():
+    # (rho0, H, rates, cross_pairing, concurrence pair)
+    frame = FrameConfig(a=2.0)
+    six = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    mismatched = [AtomSpec(omega=1.0, alpha=0.2 + 0.6 * j) for j in range(6)]
+    frame_b = FrameConfig(a=0.2)
+    wedge_i = [AtomSpec(omega=1.0, alpha=2.0)] * 2
+    wedge_ii = [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2
+    counter = cross_wedge_rates(frame, wedge_i, wedge_ii)
+    frame0, atoms0, rates0, h0 = zero_temp_system(3)
+    return [
+        (all_excited(6), build_hamiltonian(six, frame), same_wedge_rates(frame, six),
+         "anomalous", (0, 1)),
+        (all_excited(6), build_hamiltonian(mismatched, frame_b),
+         same_wedge_rates(frame_b, mismatched), "anomalous", (0, 1)),
+        (all_ground(4), None, counter, "anomalous", (0, 2)),
+        (all_ground(4), None, counter, "literal", (0, 2)),
+        (product_state("egg"), h0, rates0, "anomalous", (0, 1)),
+    ]
+
+
+def _random_block_state(sector, rng):
+    # Hermitian, constant on the blocks, unit trace, nonnegative diagonal
+    k = len(sector.block_swap)
+    u = rng.normal(size=k) + 1j * rng.normal(size=k)
+    u = (u + u[sector.block_swap].conj()) / 2
+    on_diagonal = sector.diag_count > 0
+    u[on_diagonal] = np.abs(u[on_diagonal])
+    return u / (sector.diag_count @ u).real
+
+
+def test_record_map_matches_oracle_functions():
+    rng = np.random.default_rng(37)
+    block_counts = []
+    for rho0, h, rs, pairing, pair in _record_map_cases():
+        sector = LindbladGenerator(h, rs, pairing).sector(rho0)
+        block_counts.append(len(sector.block_swap))
+        n = rs.n_atoms
+        record_map = RecordMap(sector, n, pair)
+        for _ in range(3):
+            u = _random_block_state(sector, rng)
+            rho = sector.scatter(u)
+            pops, trace, corr, rho2, r_tot = record_map.linear(u[None])
+            assert np.abs(pops[0] - populations(rho)).max() < 1e-13
+            assert abs(trace[0] - rho.trace()) < 1e-13
+            assert abs(2.0 * np.abs(corr[0]).sum() - coherence_measure(rho)) < 1e-13
+            expected = [np.einsum("ij,ji->", sigma_plus(j, n) @ sigma_minus(l, n), rho)
+                        for j in range(n) for l in range(j + 1, n)]
+            assert np.abs(corr[0] - expected).max() < 1e-13
+            assert np.abs(rho2[0] - partial_trace(rho, pair)).max() < 1e-13
+            assert abs(r_tot[0] - total_emission_rate(rho, h, rs, pairing)) < 1e-13
+    # fig2's Dicke ladder, fig4 case_b unlumped, the counter wedges under both pairings
+    assert block_counts[:3] == [7, 64, 10]
+
+
+def test_blockwise_min_eig_matches_full_eigvalsh():
+    rng = np.random.default_rng(41)
+    uncovered = []
+    for rho0, h, rs, pairing, pair in _record_map_cases():
+        sector = LindbladGenerator(h, rs, pairing).sector(rho0)
+        record_map = RecordMap(sector, rs.n_atoms, pair)
+        rows = np.unique(np.divmod(sector.pairs, sector.dim))
+        uncovered.append(sector.dim - len(rows))
+        U = np.array([_random_block_state(sector, rng) for _ in range(4)])
+        expected = [np.linalg.eigvalsh(sector.scatter(u)).min() for u in U]
+        assert np.abs(record_map.min_eig(U) - expected).max() < 1e-13
+    # one excitation at zero temperature leaves 4 of the 8 rows of rho empty;
+    # the thermal cases reach every row
+    assert uncovered == [0, 0, 0, 0, 4]
+    # the ground state at zero temperature is one pair; its empty rows give the 0
+    frame, atoms, rs, h = zero_temp_system(2)
+    sector = LindbladGenerator(h, rs).sector(all_ground(2))
+    assert len(sector.pairs) == 1
+    assert RecordMap(sector, 2, (0, 1)).min_eig(sector.gather(all_ground(2))[None]) == [0.0]
+    rho0, h, rs, pairing, pair = _record_map_cases()[2]
+    ts = evolve(rho0, h, rs, t_max=1.0, dt=1e-3, record_every=20, retain_states=True,
+                concurrence_pair=pair)
+    assert ts.column("C_conc").max() > 0.0
+    assert np.abs(ts.column("C_conc") - [concurrence(partial_trace(s, pair))
+                                          for s in ts.states]).max() < 1e-13
+    assert np.abs(ts.column("min_eig") - [np.linalg.eigvalsh(s).min()
+                                           for s in ts.states]).max() < 1e-13
+
+
+def test_failure_order_matches_per_record_checks(monkeypatch):
+    # the record at step 7 fails its hard check; the batch evaluation must not
+    # report a later record's invalid reduced state (a DomainError) instead
+    frame, atoms, rs, h = resonant_system(2)
+    with pytest.raises(IntegrationError) as err:
+        evolve(all_excited(2), h, rs, t_max=2000.0, dt=5.0, record_every=7)
+    assert type(err.value) is IntegrationError
+    assert err.value.message.startswith("state eigenvalue -3.393e-01 below hard floor -1e-06")
+    assert err.value.step == 7
+
+    # a non-finite state is reported before any eigenvalue routine sees it
+    gather = Sector.gather
+
+    def poisoned(self, rho):
+        u = gather(self, rho)
+        u[0] = np.nan
+        return u
+
+    monkeypatch.setattr(Sector, "gather", poisoned)
+    with pytest.raises(IntegrationError) as err:
+        evolve(all_excited(2), h, rs, t_max=1.0, dt=1e-2)
+    assert err.value.message == "state became non-finite"
+    assert err.value.step == 0
