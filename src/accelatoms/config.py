@@ -49,7 +49,6 @@ class ScenarioConfig:
     dt: float = 1e-3
     record_every: int = 10
     concurrence_pair: tuple[int, int] = (1, 2)  # 1-based atom labels
-    retain_states: bool = False
     output_path: str = ""
     wedges: tuple[str, ...] = ()
     # equal_acceleration_sweep
@@ -82,15 +81,6 @@ class ScenarioConfig:
     nb_waist_max: float = 2.4
 
 
-def _parse_bool(raw: str) -> bool:
-    low = raw.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
-
-
 def _parse_float(raw: str) -> float:
     value = float(raw)
     if not math.isfinite(value):
@@ -119,7 +109,6 @@ _PARSERS = {
     "int": int,
     "float": _parse_float,
     "float | None": _parse_float,
-    "bool": _parse_bool,
     "str": str,
     "tuple[float, ...]": _parse_floats,
     "tuple[str, ...]": _parse_strs,
@@ -186,12 +175,13 @@ def resolve_couplings(config: ScenarioConfig) -> list[float]:
     return vals
 
 
-def resolve_omegas(config: ScenarioConfig, alphas: list[float], a_ref: float) -> list[float]:
-    if config.omega_rule == "equal":
+def resolve_omegas(config: ScenarioConfig, alphas: list[float], rule: str) -> list[float]:
+    """Proper frequencies under the omega rule `rule`; atom 1 is the reference."""
+    if rule == "equal":
         return [config.omega_ref] * config.n_atoms
-    if config.omega_rule == "resonant":
+    if rule == "resonant":
         # proper frequencies chosen so every red-shifted frequency equals omega_ref
-        return [config.omega_ref * alpha / a_ref for alpha in alphas]
+        return [config.omega_ref * alpha / alphas[0] for alpha in alphas]
     return list(config.omegas)
 
 

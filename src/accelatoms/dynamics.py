@@ -26,6 +26,7 @@ _EIG_HARD = -1e-6
 _CHECK_EVERY = 100  # steps between hard checks, and between evaluations of the snapshots
 _POP_FLOOR = -1e-9
 _BATCH_ENTRIES = 1 << 20  # evaluate sooner when the snapshots hold this many entries
+_STEP_NORM_MAX = 1e77  # dt ||L_hat||_inf from which evolve refuses to step
 
 
 @dataclass
@@ -139,14 +140,17 @@ def concurrence(rho2: np.ndarray) -> float | np.ndarray:
         raise DomainError(f"concurrence needs a 4x4 state, got {rho2.shape}")
     batch = rho2.shape[:-2]
     rho2 = rho2.reshape(-1, 4, 4)
-    rho_tilde = _SY_SY @ rho2.conj() @ _SY_SY
-    evals = np.linalg.eigvals(rho2 @ rho_tilde).real
+    finite = np.isfinite(rho2).all(axis=(1, 2))
+    ok = len(rho2) if finite.all() else int(finite.argmin())
+    rho_tilde = _SY_SY @ rho2[:ok].conj() @ _SY_SY  # no LAPACK call sees a non-finite state
+    evals = np.linalg.eigvals(rho2[:ok] @ rho_tilde).real
     low = evals.min(axis=1)
     bad = low < -1e-9
-    first = int(bad.argmax()) if bad.any() else len(rho2)
-    # the states up to the first bad spectrum are checked first, as one at a time
+    first = int(bad.argmax()) if bad.any() else ok
+    # the states up to the first bad spectrum or non-finite state are checked
+    # first, as one at a time; the non-finite one fails there
     check_density_matrix(rho2[:first + 1], herm_tol=1e-8, trace_tol=1e-8, eig_floor=-1e-9)
-    if first < len(rho2):
+    if first < ok:
         raise DomainError(f"spectrum of rho*rho_tilde has eigenvalue {low[first]:.3e}")
     lam = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=1)
     conc = np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
@@ -239,6 +243,15 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     else:
         pair = None
     sector = gen.sector(rho)
+    # Horner forms the terms (dt L)^k u, k <= 4, with |u_i| <= 1. Below this
+    # bound on dt ||L_hat||_inf (the largest absolute row sum) each stays below
+    # (1e77)^4 = 1e308, under the float64 limit 1.8e308; at or above it the
+    # first step can overflow, so the input is refused before stepping
+    step_norm = dt * abs(sector.L_hat).sum(axis=1).max()
+    if step_norm >= _STEP_NORM_MAX:
+        raise DomainError(f"dt times the generator's largest absolute row sum is "
+                          f"{step_norm:.3e}, at or above {_STEP_NORM_MAX:.0e}: "
+                          f"the RK4 step would overflow")
     u = sector.gather(rho)
     record_map = RecordMap(sector, n, pair)
 

@@ -66,19 +66,25 @@ def build_hamiltonian(atoms: Sequence[AtomSpec], frame: FrameConfig) -> np.ndarr
 
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
                          trace_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
-    """Raise DomainError unless rho is Hermitian, unit trace and positive
-    within the stated tolerances. rho may carry leading batch axes; then the
-    first failing state in C order raises, with its first failing check."""
+    """Raise DomainError unless rho is finite, Hermitian, unit trace and
+    positive within the stated tolerances. rho may carry leading batch axes;
+    then the first failing state in C order raises, with its first failing
+    check."""
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DomainError(f"density matrix must be square, got shape {rho.shape}")
     rho = rho.reshape(-1, *rho.shape[-2:])
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    ok = len(rho) if finite.all() else int(finite.argmin())
+    rho = rho[:ok]  # no LAPACK call sees a non-finite state
     rho_h = rho.conj().swapaxes(-1, -2)
     herm = np.abs(rho - rho_h).max(axis=(1, 2))
     tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh((rho + rho_h) / 2).min(axis=1)
     bad = (herm > herm_tol) | (tr_err > trace_tol) | (min_eig < eig_floor)
     if not bad.any():
+        if ok < len(finite):
+            raise DomainError("density matrix has a non-finite entry")
         return
     i = int(bad.argmax())
     if herm[i] > herm_tol:
@@ -204,17 +210,7 @@ class Sector:
         an entry outside the sector gets len(u), the index of a zero appended
         to u. A row in no pair is a component whose one entry is that zero."""
         dim, k = self.dim, len(self.block_swap)
-        a, b = np.divmod(self.pairs, dim)
-        # component labels by min-label propagation with pointer jumping; the
-        # pairs are closed under (a, b) <-> (b, a), so one direction suffices
-        root = np.arange(dim)
-        while True:
-            new = root.copy()
-            np.minimum.at(new, a, root[b])
-            new = new[new]
-            if np.array_equal(new, root):
-                break
-            root = new
+        root = _components(dim, *np.divmod(self.pairs, dim))
         rows = np.argsort(root, kind="stable")
         _, start, size = np.unique(root[rows], return_index=True, return_counts=True)
         blocks = []
@@ -224,6 +220,22 @@ class Sector:
             i = np.minimum(np.searchsorted(self.pairs, p), len(self.pairs) - 1)
             blocks.append(np.where(self.pairs[i] == p, self.labels[i], k))
         return blocks
+
+
+def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """The smallest node of the component of each of the nodes 0..n-1 in the
+    graph with the edges i[e] -- j[e], followed in both directions; by
+    min-label propagation with pointer jumping (Shiloach & Vishkin,
+    J. Algorithms 3, 57, 1982)."""
+    root = np.arange(n)
+    while True:
+        new = root.copy()
+        np.minimum.at(new, i, root[j])
+        np.minimum.at(new, j, root[i])
+        new = new[new]
+        if np.array_equal(new, root):
+            return root
+        root = new
 
 
 def _lump(L: sp.csr_array, swap: np.ndarray,
@@ -405,14 +417,14 @@ class LindbladGenerator:
 
     def invariant_blocks(self) -> list[np.ndarray]:
         """Dense diagonal blocks of L over a partition of all pairs into
-        invariant sets (the weakly connected components of its graph); the
-        spectrum of L is the union of the blocks' spectra."""
-        from scipy.sparse.csgraph import connected_components
+        invariant sets (the weakly connected components of its graph, in the
+        order of their smallest pair); the spectrum of L is the union of the
+        blocks' spectra."""
         L = self.assemble(np.arange(self.dim * self.dim))
-        count, labels = connected_components(L != 0, directed=True, connection="weak")
+        root = _components(L.shape[0], *L.nonzero())
         blocks = []
-        for c in range(count):
-            idx = np.flatnonzero(labels == c)
+        for c in np.unique(root):
+            idx = np.flatnonzero(root == c)
             blocks.append(L[idx][:, idx].toarray())
         return blocks
 

@@ -41,13 +41,11 @@ class RunSpec:
     label: str
     frame: FrameConfig
     atoms: tuple[AtomSpec, ...]
-    counter: bool
     initial: str  # per-atom 'e'/'g' letters
     t_max: float
     dt: float
     record_every: int
     pair: tuple[int, int] | None
-    retain_states: bool = False
 
 
 @dataclass
@@ -62,8 +60,7 @@ class RunResult:
 def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
     n = config.n_atoms
     pair = None if n < 2 else (config.concurrence_pair[0] - 1, config.concurrence_pair[1] - 1)
-    common = dict(t_max=config.t_max, dt=config.dt, record_every=config.record_every,
-                  pair=pair, retain_states=config.retain_states)
+    common = dict(t_max=config.t_max, dt=config.dt, record_every=config.record_every, pair=pair)
     couplings = resolve_couplings(config)
     if config.initial_state == "explicit":
         initial = config.initial_pattern
@@ -71,17 +68,12 @@ def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
         initial = ("e" if config.initial_state == "all_excited" else "g") * n
 
     def spec(label, alphas, omega_rule=None, wedges=None):
-        a_ref = alphas[0]
-        frame = FrameConfig(a=a_ref, eps_res=config.eps_res, gamma0=config.gamma0)
-        rule = omega_rule or config.omega_rule
-        cfg_rule = ScenarioConfig(omega_rule=rule, omega_ref=config.omega_ref,
-                                  omegas=config.omegas, n_atoms=n)
-        omegas = resolve_omegas(cfg_rule, alphas, a_ref)
+        frame = FrameConfig(a=alphas[0], eps_res=config.eps_res, gamma0=config.gamma0)
+        omegas = resolve_omegas(config, alphas, omega_rule or config.omega_rule)
         wedge_list = wedges or ["I"] * n
         atoms = tuple(AtomSpec(omega=w, alpha=al, wedge=wd, g=c)
                       for w, al, wd, c in zip(omegas, alphas, wedge_list, couplings))
-        return RunSpec(label=label, frame=frame, atoms=atoms,
-                       counter="II" in wedge_list, initial=initial, **common)
+        return RunSpec(label=label, frame=frame, atoms=atoms, initial=initial, **common)
 
     if config.scenario == "equal_acceleration_sweep":
         return [spec(f"alpha_{a:g}".replace(".", "p"), [a] * n)
@@ -102,8 +94,8 @@ def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
 
 
 def execute_run(run: RunSpec) -> RunResult:
-    if run.counter:
-        n_i = sum(1 for a in run.atoms if a.wedge == "I")
+    n_i = sum(1 for a in run.atoms if a.wedge == "I")
+    if n_i < len(run.atoms):
         rates = cross_wedge_rates(run.frame, run.atoms[:n_i], run.atoms[n_i:])
         H = None  # counter-accelerating evolution stays in the interaction picture
     else:
@@ -112,7 +104,6 @@ def execute_run(run: RunSpec) -> RunResult:
     rho0 = product_state(run.initial)
     series = evolve(rho0, H, rates, t_max=run.t_max, dt=run.dt,
                     record_every=run.record_every,
-                    retain_states=run.retain_states,
                     concurrence_pair=run.pair or (0, 1))
     n = len(run.atoms)
     r_tot = series.column("R_tot")

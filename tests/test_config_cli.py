@@ -43,6 +43,9 @@ def test_parse_syntax_errors():
         parse_config("schema_version = 1\nnot_a_key = 3\nn_atoms = x\nn_atoms = 2\n")
     joined = " | ".join(err.value.diagnostics)
     assert "unknown key" in joined and "n_atoms" in joined
+    with pytest.raises(ConfigError) as err:
+        parse_config("schema_version = 1\nretain_states = true\n")
+    assert err.value.diagnostics == ["line 2: unknown key 'retain_states'"]
 
 
 def test_validate_reports_field_level_diagnostics():
@@ -115,6 +118,16 @@ def test_cli_integration_failure_exit_code(tmp_path):
     cfg.write_text("schema_version = 1\nscenario = custom\nn_atoms = 1\n"
                    "alphas = equal: 2\nt_max = 500\ndt = 50\n")
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "d")]) == 3
+
+
+def test_cli_rejects_a_step_that_would_overflow(tmp_path, capsys, recwarn):
+    # omega_ref = 1e-300 makes the rates about 1e299: dt * ||L_hat||_inf ~ 4e296
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("schema_version = 1\nomega_ref = 1e-300\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):
@@ -267,7 +280,6 @@ def _values_for(field) -> st.SearchStrategy[str]:
         "initial_pattern": ["", "e", "eg", "gge", "x"],
         "wedges": ["", "I", "I, II", "II, I", "I, I, II", "III"],
         "concurrence_pair": ["1, 2", "1, 3", "2, 2", "0, 1", "1", "x"],
-        "retain_states": ["true", "false", "maybe"],
     }
     by_type = {
         "int": ["1", "2", *odd],

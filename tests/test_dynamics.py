@@ -10,7 +10,7 @@ from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_m
                                  population, populations, product_state, total_emission_rate)
 from accelatoms.kinematics import kinematic_state, unruh_beta
 from accelatoms.liouvillian import (LindbladGenerator, Sector, build_hamiltonian,
-                                    build_superoperator)
+                                    build_superoperator, check_density_matrix)
 from accelatoms.operators import sigma_minus, sigma_plus
 from accelatoms.rates import cross_wedge_rates, same_wedge_rates
 
@@ -184,6 +184,25 @@ def test_concurrence_reference_states():
         concurrence(np.array([werner, off_trace, skew]))
     with pytest.raises(DomainError, match="not Hermitian"):
         concurrence(np.array([werner, skew, off_trace]))
+
+
+def test_nonfinite_states_raise_domain_error():
+    # the finiteness check comes first for each state, before any eigenvalue routine
+    frame, atoms, rs, h = resonant_system(2)
+    mixed = np.eye(4, dtype=complex) / 4
+    negative = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    for value in (np.nan, np.inf):
+        rho0 = all_excited(2).astype(complex)
+        rho0[0, 3] = rho0[3, 0] = value
+        for check in (check_density_matrix, concurrence):
+            for states in (rho0, np.array([mixed, rho0, negative])):
+                with pytest.raises(DomainError, match="non-finite"):
+                    check(states)
+            # an earlier failing state still raises first, with its own check
+            with pytest.raises(DomainError, match="eigenvalue -5.000e-01"):
+                check(np.array([mixed, negative, rho0]))
+        with pytest.raises(DomainError, match="non-finite"):
+            evolve(rho0, h, rs, t_max=1.0, dt=1e-2)
 
 
 def test_concurrence_agrees_with_matrix_square_root_route():

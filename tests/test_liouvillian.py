@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig
 from accelatoms.kinematics import unruh_beta
@@ -317,9 +318,14 @@ def test_lumping_finds_the_symmetric_blocks():
     popcount = np.array([bin(k).count("1") for k in range(64)])
     assert len(set(zip(sector.labels, popcount[a]))) == 7
     assert sector.diag_count.sum() == 64
+    # rho is block diagonal over the excitation numbers; merged row blocks would
+    # keep the lowest eigenvalue, so pin their sizes
+    sizes = [b.shape[1] for b in sector.row_blocks() for _ in b]
+    assert sizes == sorted([1, 6, 15, 20, 15, 6, 1])
     # the N = 4 counter wedges from the ground state: 70 pairs in 10 blocks
     sector = counter_wedge_four().sector(all_ground(4))
     assert len(sector.pairs) == 70 and sector.L_hat.shape == (10, 10)
+    assert [b.shape[1] for b in sector.row_blocks() for _ in b] == [1, 1, 4, 4, 6]
     # the lumped generator reproduces L on every state constant on the blocks
     rng = np.random.default_rng(7)
     u = rng.normal(size=10) + 1j * rng.normal(size=10)
@@ -361,9 +367,23 @@ def test_invariant_block_spectrum_matches_superoperator():
         h = build_hamiltonian(atoms, frame)
         systems.append((LindbladGenerator(h, same_wedge_rates(frame, atoms)), h))
     systems.append((counter_wedge_four(), None))
+    # at zero temperature L only lowers excitations, so its graph is directed
+    frame0 = FrameConfig(a=1e-3)
+    atoms0 = [AtomSpec(omega=1.0, alpha=1e-3)] * 2
+    h0 = build_hamiltonian(atoms0, frame0)
+    systems.append((LindbladGenerator(h0, same_wedge_rates(frame0, atoms0)), h0))
     zero_tol = 1e-9 * frame.gamma0
     for gen, h in systems:
-        parts = [steady_state_analysis(b, zero_tol=zero_tol) for b in gen.invariant_blocks()]
+        # merged blocks would keep the spectrum, so pin the partition: the
+        # weak components of L, ordered by their smallest pair
+        blocks = gen.invariant_blocks()
+        L = gen.assemble(np.arange(gen.dim**2))
+        count, labels = connected_components(L != 0, directed=True, connection="weak")
+        members = sorted((np.flatnonzero(labels == c) for c in range(count)), key=min)
+        assert len(blocks) == count
+        for block, idx in zip(blocks, members):
+            assert np.array_equal(block, L[idx][:, idx].toarray())
+        parts = [steady_state_analysis(b, zero_tol=zero_tol) for b in blocks]
         assert sum(len(p.eigenvalues) for p in parts) == gen.dim**2
         dense = steady_state_analysis(build_superoperator(h, gen.rates), zero_tol=zero_tol)
         assert sum(p.zero_multiplicity for p in parts) == dense.zero_multiplicity
