@@ -23,6 +23,12 @@ N_ATOMS_MAX = 10
 # step, their 10^7 rows hold N + 7 floats each, 1.4 GB at N = 10, and the CSV
 # takes about 4 GB.
 N_STEPS_MAX = 10**7
+# Grid sizes of bec_design, from the cost of one item at the preset values on
+# a 2-core VM: a wavenumber point (mode, coupling tensor, two CSV rows) takes
+# 110 us and holds 0.8 kB until written, 11 s and 85 MB at 10^5; a waist point
+# (variational width, transition energy) takes 0.27 ms, 27 s at 10^5; and the
+# grid makes nb_grid_points^2 bound-state counts of 2.7 ms each, 110 s at 200.
+BEC_GRID_MAX = {"k_points": 10**5, "waist_points": 10**5, "nb_grid_points": 200}
 
 SCENARIOS = ("equal_acceleration_sweep", "mismatch_cases", "counter_wedge",
              "bec_design", "custom")
@@ -35,7 +41,6 @@ class ScenarioConfig:
     schema_version: int = SCHEMA_VERSION
     scenario: str = "custom"
     n_atoms: int = 2
-    a_ref: float | None = None
     alphas: str = "equal: 2"
     omega_rule: str = "equal"
     omega_ref: float = 1.0
@@ -108,7 +113,6 @@ def _parse_pair(raw: str) -> tuple[int, int]:
 _PARSERS = {
     "int": int,
     "float": _parse_float,
-    "float | None": _parse_float,
     "str": str,
     "tuple[float, ...]": _parse_floats,
     "tuple[str, ...]": _parse_strs,
@@ -207,9 +211,12 @@ def validate(config: ScenarioConfig) -> list[str]:
                          f"entries matching tweezer_waists, got {len(config.tweezer_positions)}")
         if not 0 < config.k_min < config.k_max:
             diags.append("k_min/k_max: need 0 < k_min < k_max")
-        for name in ("k_points", "waist_points", "nb_grid_points"):
-            if getattr(config, name) < 2:
+        for name, cap in BEC_GRID_MAX.items():
+            value = getattr(config, name)
+            if value < 2:
                 diags.append(f"{name}: must be >= 2")
+            elif value > cap:
+                diags.append(f"{name}: must be <= {cap}, got {value}")
         if not 0 < config.nb_depth_min < config.nb_depth_max:
             diags.append("nb_depth_min/nb_depth_max: need 0 < min < max")
         if not 0 < config.nb_waist_min < config.nb_waist_max:
@@ -243,16 +250,12 @@ def validate(config: ScenarioConfig) -> list[str]:
     if config.eps_res <= 0:
         diags.append("eps_res: must be > 0")
     try:
-        alphas = resolve_alphas(config)
-        if any(a <= 0 for a in alphas):
+        if any(a <= 0 for a in resolve_alphas(config)):
             diags.append("alphas: all proper accelerations must be > 0")
-            alphas = None
     except ConfigError as exc:
         diags.extend(exc.diagnostics)
-        alphas = None
     except ValueError as exc:
         diags.append(f"alphas: {exc}")
-        alphas = None
     try:
         if any(g < 0 for g in resolve_couplings(config)):
             diags.append("couplings: all coupling weights must be >= 0")
@@ -273,10 +276,6 @@ def validate(config: ScenarioConfig) -> list[str]:
         if len(config.initial_pattern) != n or any(c not in "eg" for c in config.initial_pattern):
             diags.append(f"initial_pattern: need {n} letters over e/g, got "
                          f"{config.initial_pattern!r}")
-    if alphas is not None and config.a_ref is not None:
-        if abs(config.a_ref - alphas[0]) > 1e-12 * max(1.0, abs(alphas[0])):
-            diags.append(f"a_ref: must equal the proper acceleration of atom 1 "
-                         f"({config.a_ref} != {alphas[0]})")
     pair = config.concurrence_pair
     if n >= 2:
         if pair[0] == pair[1] or not all(1 <= p <= n for p in pair):

@@ -26,7 +26,7 @@ _EIG_HARD = -1e-6
 _CHECK_EVERY = 100  # steps between hard checks, and between evaluations of the snapshots
 _POP_FLOOR = -1e-9
 _BATCH_ENTRIES = 1 << 20  # evaluate sooner when the snapshots hold this many entries
-_STEP_NORM_MAX = 1e77  # dt ||L_hat||_inf from which evolve refuses to step
+_STEP_ENTRY_MAX = 1e308  # bound on a step's entries from which evolve refuses to step
 
 
 @dataclass
@@ -243,15 +243,24 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     else:
         pair = None
     sector = gen.sector(rho)
-    # Horner forms the terms (dt L)^k u, k <= 4, with |u_i| <= 1. Below this
-    # bound on dt ||L_hat||_inf (the largest absolute row sum) each stays below
-    # (1e77)^4 = 1e308, under the float64 limit 1.8e308; at or above it the
-    # first step can overflow, so the input is refused before stepping
-    step_norm = dt * abs(sector.L_hat).sum(axis=1).max()
-    if step_norm >= _STEP_NORM_MAX:
-        raise DomainError(f"dt times the generator's largest absolute row sum is "
-                          f"{step_norm:.3e}, at or above {_STEP_NORM_MAX:.0e}: "
-                          f"the RK4 step would overflow")
+    # For a constant linear L the four RK4 stages combine to the degree-4
+    # Taylor polynomial of exp(dt L); it is evaluated in Horner form,
+    # u + dt L (u + dt/2 L (u + dt/3 L (u + dt/4 L u))), as w <- u + c L_hat w.
+    # With |u_i| <= 1 and M = ||L_hat||_inf, |L_hat w| <= M |w| and
+    # |w| <= 1 + c M |w| (max norms) bound every entry a step forms. From a
+    # bound of 1e308, under the float64 limit 1.8e308, the first step can
+    # overflow, so the input is refused before stepping
+    row_sum = float(abs(sector.L_hat).sum(axis=1).max())
+    horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
+    bound = peak = 1.0
+    for c in horner:
+        product = row_sum * bound
+        bound = 1.0 + c * product
+        peak = max(peak, product, bound)
+    if peak >= _STEP_ENTRY_MAX:
+        raise DomainError(f"an RK4 step of dt = {dt:.3e} on a generator with largest absolute "
+                          f"row sum {row_sum:.3e} may form entries up to {peak:.3e}, at or "
+                          f"above {_STEP_ENTRY_MAX:.0e}: it would overflow")
     u = sector.gather(rho)
     record_map = RecordMap(sector, n, pair)
 
@@ -305,10 +314,6 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         if states is not None:
             states.extend(sector.scatter(v) for v in U[rec])
 
-    # For a constant linear L the four RK4 stages combine to the degree-4
-    # Taylor polynomial of exp(dt L); it is evaluated in Horner form,
-    # u + dt L (u + dt/2 L (u + dt/3 L (u + dt/4 L u))), with the same 4 products.
-    horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
     for step in range(nsteps):
         if step % record_every == 0:
             snapshot(step, True, u)

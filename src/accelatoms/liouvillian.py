@@ -1,7 +1,14 @@
 """System Hamiltonian, Lindblad generator, superoperator and spectral analysis.
 
-The master equation implemented here, in the Schroedinger picture for a
-single-wedge (co-accelerating) ensemble, is
+The master equation is in GKS-Lindblad form (Gorini, Kossakowski & Sudarshan,
+J. Math. Phys. 17, 821, 1976) over A = (sigma_1^-..sigma_N^-, sigma_1^+..sigma_N^+),
+
+    drho/dt = -i[H, rho] + sum_ab K[a, b] [A_a rho, A_b^+] + h.c.,
+
+where K = rates.kossakowski_matrix(rates, cross_pairing) is the one table the
+generator, the Kronecker oracle and the certificate K >= 0 read. K[j, i] =
+gamma_minus_plus[i, j] and K[N+j, N+i] = gamma_plus_minus[i, j] (atoms from
+0), so for a single-wedge (co-accelerating) ensemble, in the Schroedinger picture,
 
     drho/dt = -i[H, rho]
               + sum_ij gamma_plus_minus[i,j] [sigma_j^+ rho, sigma_i^-]
@@ -11,17 +18,19 @@ For counter-accelerating ensembles the Hamiltonian commutator is omitted: the
 relative sign of the wedge-II atomic Hamiltonian makes a Schroedinger-picture
 form ambiguous, so that evolution is generated in the interaction picture
 (populations and coherence magnitudes are picture-invariant). Four anomalous
-inter-wedge terms then enter with minus signs, pairing raising with raising
-and lowering with lowering operators across the wedges:
+inter-wedge terms per wedge-I atom i and wedge-II atom kappa then enter with
+minus signs, pairing raising with raising and lowering with lowering
+operators; -cross_pp[i, kappa] sits at K[N+i, kappa] and K[N+kappa, i], its
+conjugate at K[kappa, N+i] and K[i, N+kappa]:
 
     - sum_{i,kappa} cross_pp[i,kappa] ([sigma_i^+ rho, sigma_kappa^+]
                                        + [sigma_kappa^+ rho, sigma_i^+])
-    - sum_{i,kappa} cross_mm[i,kappa] ([sigma_i^- rho, sigma_kappa^-]
-                                       + [sigma_kappa^- rho, sigma_i^-]) + h.c.
+    - sum_{i,kappa} conj(cross_pp[i,kappa]) ([sigma_i^- rho, sigma_kappa^-]
+                                             + [sigma_kappa^- rho, sigma_i^-]) + h.c.
 
-cross_pairing="literal" switches to an alternative normal-labelled inter-wedge
-pairing (sigma^+ with sigma^-), kept only so the two structures can be
-compared; the anomalous pairing is the primary one.
+cross_pairing="literal" pairs sigma^+ with sigma^- instead, kept only so the
+two structures can be compared: -cross_pp[i, kappa] sits at K[N+i, N+kappa],
+K[i, kappa], K[N+kappa, N+i] and K[kappa, i], and that K is not positive.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ import scipy.sparse as sp
 from .errors import CapacityError, DomainError
 from .kinematics import AtomSpec, FrameConfig, kinematic_state
 from .operators import sigma_minus, sigma_plus
-from .rates import RateSet
+from .rates import RateSet, kossakowski_matrix
 
 N_MAX_DENSE_DEFAULT = 4
 N_MAX_DENSE_HARD_CAP = 6
@@ -107,36 +116,13 @@ def _ladder(op: tuple[int, bool], n: int) -> np.ndarray:
     return sigma_plus(atom, n) if raising else sigma_minus(atom, n)
 
 
-def _cross_terms(rates: RateSet, cross_pairing: str):
-    """Inter-wedge commutator terms as (coef, B, C) triples for coef*[B rho, C]."""
-    terms = []
-    idx_i, idx_k = rates.wedge_partition
-    for a, gi in enumerate(idx_i):
-        for b, gk in enumerate(idx_k):
-            pp = rates.cross_pp[a, b]
-            mm = rates.cross_mm[a, b]
-            spi, smi, spk, smk = (gi, True), (gi, False), (gk, True), (gk, False)
-            if cross_pairing == "anomalous":
-                terms += [(-pp, spi, spk), (-pp, spk, spi), (-mm, smi, smk), (-mm, smk, smi)]
-            else:
-                terms += [(-pp, spi, smk), (-pp, smi, spk), (-pp, spk, smi), (-pp, smk, spi)]
-    return terms
-
-
 def _generator_terms(rates: RateSet, cross_pairing: str = "anomalous"):
-    """All nonzero dissipative terms as (coef, B, C) with the convention
-    coef*[B rho, C]; the Hermitian conjugate of the whole sum is added by the
-    caller. B and C are ladder operators given as (atom, raising)."""
-    if cross_pairing not in ("anomalous", "literal"):
-        raise DomainError(f"unknown cross_pairing {cross_pairing!r}")
+    """(K[a, b], A_a, A_b^+) for each nonzero entry of the coefficient matrix K,
+    standing for K[a, b] [A_a rho, A_b^+]; the caller adds the Hermitian
+    conjugate of the whole sum. Operators are given as (atom, raising)."""
+    K = kossakowski_matrix(rates, cross_pairing)
     n = rates.n_atoms
-    terms = []
-    for i in range(n):
-        for j in range(n):
-            terms.append((rates.gamma_plus_minus[i, j], (j, True), (i, False)))
-            terms.append((rates.gamma_minus_plus[i, j], (j, False), (i, True)))
-    terms += _cross_terms(rates, cross_pairing)
-    return [term for term in terms if term[0] != 0]
+    return [(K[a, b], (a % n, a >= n), (b % n, b < n)) for a, b in np.argwhere(K).tolist()]
 
 
 def _basis_map(ops, dim: int) -> np.ndarray:
@@ -440,8 +426,9 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
                         cross_pairing: str = "anomalous") -> np.ndarray:
     """Dense 4^N x 4^N generator acting on column-stacked density matrices.
 
-    Assembled independently of LindbladGenerator via Kronecker identities
-    (vec(A rho B) = (B^T kron A) vec(rho)); kept as the test oracle.
+    Assembled independently of LindbladGenerator's basis maps, from the same
+    coefficient table, via Kronecker identities (vec(A rho B) =
+    (B^T kron A) vec(rho)); kept as the test oracle.
     """
     if n_max_dense > N_MAX_DENSE_HARD_CAP:
         raise CapacityError(f"n_max_dense={n_max_dense} exceeds hard cap "

@@ -158,28 +158,32 @@ def thermal_static_rates(beta: float, omegas: Sequence[float], positions: Sequen
     return same_wedge_rates(frame, atoms, xi=positions)
 
 
-def kossakowski_matrix(rates: RateSet) -> np.ndarray:
-    """Hermitian coefficient matrix in the jump basis (sigma_1^-, ..., sigma_N^-,
-    sigma_1^+, ..., sigma_N^+).
-
-    Normal blocks are the channel matrices transposed; the anomalous channels
-    enter off-diagonally with a minus sign (they appear subtracted in the
-    counter-accelerating master equation).
+def kossakowski_matrix(rates: RateSet, cross_pairing: str = "anomalous") -> np.ndarray:
+    """The generator's coefficient matrix K over the jump basis
+    A = (sigma_1^-, ..., sigma_N^-, sigma_1^+, ..., sigma_N^+): the dissipator
+    is sum_ab K[a, b] [A_a rho, A_b^+] + h.c. (liouvillian.py says where each
+    entry sits), and K >= 0 certifies complete positivity. The inter-wedge
+    channels enter with a minus sign; the literal pairing's K is not positive.
     """
+    if cross_pairing not in ("anomalous", "literal"):
+        raise DomainError(f"unknown cross_pairing {cross_pairing!r}")
     n = rates.n_atoms
     k = np.zeros((2 * n, 2 * n), dtype=complex)
     k[:n, :n] = rates.gamma_minus_plus.T
     k[n:, n:] = rates.gamma_plus_minus.T
-    if rates.has_cross:
-        idx_i, idx_k = rates.wedge_partition
-        for a, gi in enumerate(idx_i):
-            for b, gk in enumerate(idx_k):
-                x = rates.cross_pp[a, b]
-                # sigma_i^+ rho sigma_k^+ pairs (i,+) with (k,-); likewise swapped
-                k[n + gi, gk] += -x
-                k[gk, n + gi] += -np.conj(x)
-                k[n + gk, gi] += -x
-                k[gi, n + gk] += -np.conj(x)
+    idx_i, idx_k = rates.wedge_partition
+    i = np.array(idx_i, dtype=int)[:, None]
+    kap = np.array(idx_k, dtype=int)[None, :]
+    x = -rates.cross_pp
+    if cross_pairing == "anomalous":
+        # K[N+i, kappa] = x is x [sigma_i^+ rho, sigma_kappa^+], and so on
+        entries = ((n + i, kap, x), (kap, n + i, x.conj()),
+                   (n + kap, i, x), (i, n + kap, x.conj()))
+    else:
+        # K[N+i, N+kappa] = x is x [sigma_i^+ rho, sigma_kappa^-], and so on
+        entries = ((n + i, n + kap, x), (i, kap, x), (n + kap, n + i, x), (kap, i, x))
+    for rows, cols, values in entries:
+        k[rows, cols] += values
     return k
 
 

@@ -1,3 +1,4 @@
+import re
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -8,8 +9,8 @@ from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
-from accelatoms.config import (INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES, SCENARIOS,
-                               ScenarioConfig, parse_config, validate)
+from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
+                               SCENARIOS, ScenarioConfig, parse_config, validate)
 
 GOOD = """\
 schema_version = 1
@@ -43,9 +44,10 @@ def test_parse_syntax_errors():
         parse_config("schema_version = 1\nnot_a_key = 3\nn_atoms = x\nn_atoms = 2\n")
     joined = " | ".join(err.value.diagnostics)
     assert "unknown key" in joined and "n_atoms" in joined
-    with pytest.raises(ConfigError) as err:
-        parse_config("schema_version = 1\nretain_states = true\n")
-    assert err.value.diagnostics == ["line 2: unknown key 'retain_states'"]
+    for removed in ("retain_states = true", "a_ref = 2"):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"schema_version = 1\n{removed}\n")
+        assert err.value.diagnostics == [f"line 2: unknown key {removed.split()[0]!r}"]
 
 
 def test_validate_reports_field_level_diagnostics():
@@ -59,8 +61,6 @@ def test_validate_reports_field_level_diagnostics():
     assert any("wedge II" in d for d in validate(bad))
     bad = ScenarioConfig(**{**cfg.__dict__, "concurrence_pair": (1, 5)})
     assert any("concurrence_pair" in d for d in validate(bad))
-    bad = ScenarioConfig(**{**cfg.__dict__, "a_ref": 3.0})
-    assert any("a_ref" in d for d in validate(bad))
     bad = ScenarioConfig(**{**cfg.__dict__, "initial_state": "explicit",
                             "initial_pattern": "exg"})
     assert any("initial_pattern" in d for d in validate(bad))
@@ -121,13 +121,16 @@ def test_cli_integration_failure_exit_code(tmp_path):
 
 
 def test_cli_rejects_a_step_that_would_overflow(tmp_path, capsys, recwarn):
-    # omega_ref = 1e-300 makes the rates about 1e299: dt * ||L_hat||_inf ~ 4e296
-    cfg = tmp_path / "tiny.cfg"
-    cfg.write_text("schema_version = 1\nomega_ref = 1e-300\n")
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "t")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:")
-    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    # omega_ref = 1e-300 makes the rates about 1e299: dt * ||L_hat||_inf ~ 4e296;
+    # at 4e-81, dt * ||L_hat||_inf ~ 9.5e76, but the product L_hat @ w that a
+    # step forms before its factor dt reaches about 1e80 * (9.5e76)^3
+    for omega_ref in ("1e-300", "4e-81"):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text(f"schema_version = 1\nomega_ref = {omega_ref}\n")
+        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:")
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):
@@ -225,7 +228,7 @@ def test_cli_maps_run_path_errors_to_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_every_field_parses_back_from_its_default_text():
-    default = ScenarioConfig(a_ref=2.0)
+    default = ScenarioConfig()
 
     def text(value):
         return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
@@ -259,7 +262,8 @@ def test_cli_seed_flag_accepted(tmp_path):
 def _values_for(field) -> st.SearchStrategy[str]:
     """Value text for one schema key: valid values next to non-finite,
     out-of-range and malformed ones. The keys that set the cost of a run are
-    held to N <= 3 atoms, at most 10 steps and grids of at most 3 points."""
+    held to N <= 3 atoms, at most 10 steps and grids of at most 3 points, or
+    to a grid above its cap, which is rejected before anything runs."""
     odd = ["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "x"]
     special = {
         "schema_version": ["1", "1", "1", "2", "x"],
@@ -268,9 +272,9 @@ def _values_for(field) -> st.SearchStrategy[str]:
         "t_max": ["0.05", "0.1", "0", "-1", "nan", "inf", "x"],
         "dt": ["0.01", "0.025", "0.03", "0.05", "1", "0", "-0.01", "nan"],
         "record_every": ["1", "3", "0", "-1", "x"],
-        "k_points": ["2", "3", "1", "-1"],
-        "waist_points": ["2", "3", "1", "-1"],
-        "nb_grid_points": ["2", "3", "1", "-1"],
+        "k_points": ["2", "3", "1", "-1", str(BEC_GRID_MAX["k_points"] + 1)],
+        "waist_points": ["2", "3", "1", "-1", str(BEC_GRID_MAX["waist_points"] + 1)],
+        "nb_grid_points": ["2", "3", "1", "-1", str(BEC_GRID_MAX["nb_grid_points"] + 1)],
         "alphas": ["equal: 2", "equal: nan", "equal: -1", "mismatch: 0.2, 0.6",
                    "mismatch: 1", "1, 2", "2, 2, 2", "nan, 1", "-1, 1", "", "equal:"],
         "couplings": ["equal: 1", "equal: inf", "equal: -1", "0.5, 1", "1, 1, 1", "nan, 1",
@@ -284,7 +288,6 @@ def _values_for(field) -> st.SearchStrategy[str]:
     by_type = {
         "int": ["1", "2", *odd],
         "float": ["0.1", "0.5", "1", "2", *odd],
-        "float | None": ["1", "2", *odd],
         "tuple[float, ...]": ["", "1", "1, 2", "0.5, 1.5, 2", "nan", "-1, 2", "0"],
     }
     return st.sampled_from(special.get(field.name) or by_type[field.type])
@@ -319,3 +322,18 @@ def test_validate_caps_step_count(tmp_path, capsys):
         assert capsys.readouterr().out.splitlines() == diags
         assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]
+
+
+def test_validate_caps_bec_grids(tmp_path, capsys):
+    preset = (Path(cli.__file__).parent / "presets" / "bec_design.cfg").read_text()
+    assert validate(parse_config(preset)) == []
+    for name, cap in BEC_GRID_MAX.items():
+        path = tmp_path / "grid.cfg"
+        path.write_text(re.sub(rf"^{name} = .*$", f"{name} = {cap + 1}", preset, flags=re.M))
+        diags = validate(parse_config(path.read_text()))
+        assert diags == [f"{name}: must be <= {cap}, got {cap + 1}"]
+        assert cli.main(["validate", str(path)]) == 2
+        assert capsys.readouterr().out.splitlines() == diags
+        assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]
+        assert not (tmp_path / "o").exists()

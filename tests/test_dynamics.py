@@ -12,7 +12,7 @@ from accelatoms.kinematics import kinematic_state, unruh_beta
 from accelatoms.liouvillian import (LindbladGenerator, Sector, build_hamiltonian,
                                     build_superoperator, check_density_matrix)
 from accelatoms.operators import sigma_minus, sigma_plus
-from accelatoms.rates import cross_wedge_rates, same_wedge_rates
+from accelatoms.rates import cross_wedge_rates, kossakowski_matrix, same_wedge_rates
 
 ZERO_T_A = 1e-3
 
@@ -288,6 +288,15 @@ def test_literal_pairing_breaks_positivity():
     with pytest.raises(IntegrationError):
         evolve(all_ground(2), None, rs, t_max=20.0, dt=1e-2,
                cross_pairing="literal")
+    # and the positivity certificate, which reads the generator's own
+    # coefficient matrix, sees it: for the N = 4 counter wedges the literal K
+    # (Hermitian here, the rates being real) has a negative eigenvalue
+    rs4 = cross_wedge_rates(frame, [AtomSpec(omega=1.0, alpha=2.0)] * 2,
+                            [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2)
+    assert np.linalg.eigvalsh(kossakowski_matrix(rs4)).min() >= -1e-12
+    literal = kossakowski_matrix(rs4, "literal")
+    assert np.array_equal(literal, literal.conj().T)
+    assert np.linalg.eigvalsh(literal).min() < -1e-2 * np.abs(literal).max()
 
 
 def test_correlation_oracle_needs_states():

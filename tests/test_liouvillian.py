@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -7,7 +9,7 @@ from scipy.sparse.csgraph import connected_components
 
 from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig
 from accelatoms.kinematics import unruh_beta
-from accelatoms.liouvillian import (LindbladGenerator, build_hamiltonian,
+from accelatoms.liouvillian import (LindbladGenerator, _generator_terms, build_hamiltonian,
                                     build_superoperator, check_density_matrix,
                                     hamiltonian_from_omegas, lindblad_rhs,
                                     steady_state_analysis, thermal_residual,
@@ -250,6 +252,65 @@ def counter_wedge_four(cross_pairing="anomalous"):
     rs = cross_wedge_rates(frame, [AtomSpec(omega=1.0, alpha=2.0)] * 2,
                            [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2)
     return LindbladGenerator(None, rs, cross_pairing)
+
+
+def written_master_equation(rates, cross_pairing):
+    """The module docstring's master equation written out from the rate
+    matrices: the set of (coef, B, C) for its terms coef [B rho, C], with
+    ladder operators as (atom, raising)."""
+    n = rates.n_atoms
+    terms = []
+    for i in range(n):
+        for j in range(n):
+            terms.append((rates.gamma_plus_minus[i, j], (j, True), (i, False)))
+            terms.append((rates.gamma_minus_plus[i, j], (j, False), (i, True)))
+    idx_i, idx_k = rates.wedge_partition
+    for a, i in enumerate(idx_i):
+        for b, k in enumerate(idx_k):
+            x = rates.cross_pp[a, b]
+            if cross_pairing == "anomalous":
+                terms += [(-x, (i, True), (k, True)), (-x, (k, True), (i, True)),
+                          (-np.conj(x), (i, False), (k, False)),
+                          (-np.conj(x), (k, False), (i, False))]
+            else:
+                terms += [(-x, (i, True), (k, False)), (-x, (i, False), (k, True)),
+                          (-x, (k, True), (i, False)), (-x, (k, False), (i, True))]
+    return {(complex(c), b, d) for c, b, d in terms if c != 0}
+
+
+def test_generator_terms_are_the_written_master_equation():
+    # c10-style random rate sets, every third one counter-accelerating, plus
+    # the zero-temperature limit, where the inter-wedge channels vanish
+    frame0 = FrameConfig(a=1e-3)
+    systems = [cross_wedge_rates(frame0, [AtomSpec(omega=1.0, alpha=1e-3)],
+                                 [AtomSpec(omega=1.0, alpha=1e-3, wedge="II")])]
+    rng = np.random.default_rng(202)
+    for trial in range(30):
+        a = float(rng.uniform(0.3, 10.0))
+        frame = FrameConfig(a=a)
+        n = int(rng.integers(1, 5))
+        n_clusters = int(rng.integers(1, n + 1))
+        cluster_alpha = rng.uniform(0.5 * a, 3.0 * a, size=n_clusters)
+        cluster_omega = rng.uniform(0.5, 2.0, size=n_clusters)
+        members = rng.integers(0, n_clusters, size=n)
+        atoms = [AtomSpec(omega=float(cluster_omega[c]), alpha=float(cluster_alpha[c]),
+                          g=float(rng.uniform(0.2, 1.5))) for c in members]
+        if n >= 2 and trial % 3 == 0:
+            half = n // 2
+            systems.append(cross_wedge_rates(
+                frame, atoms[:n - half],
+                [dataclasses.replace(at, wedge="II") for at in atoms[n - half:]]))
+        else:
+            systems.append(same_wedge_rates(frame, atoms))
+    assert sum(rs.has_cross and np.any(rs.cross_pp) for rs in systems) >= 5
+    for rs in systems:
+        for pairing in ("anomalous", "literal"):
+            terms = _generator_terms(rs, pairing)
+            as_set = {(complex(c), b, d) for c, b, d in terms}
+            assert len(as_set) == len(terms)
+            assert as_set == written_master_equation(rs, pairing)
+    with pytest.raises(DomainError):
+        _generator_terms(systems[0], "bogus")
 
 
 def test_reachable_sector_of_product_states():
