@@ -4,6 +4,12 @@ impurity-phonon coupling tensor, and the mapping onto the detector model.
 Units: hbar = k_B = 1 throughout; a sensible normalization is boson mass
 m = 1 and chemical potential mu = 1, which makes the healing-length and
 mu-energy scales order one.
+
+Bound states are counted by Sylvester's law of inertia: the number of negative
+eigenvalues of the finite-difference tridiagonal equals the number of negative
+pivots of its LDL^T factorization, the Sturm-sequence count of Barth, Martin
+and Wilkinson (Numer. Math. 9, 386, 1967). One pass of the pivot recurrence
+serves a whole (V0, w, M) design grid at once.
 """
 
 from __future__ import annotations
@@ -13,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .errors import ConfigError, DivergenceError, DomainError, NoRootError
 from .kinematics import AtomSpec, FrameConfig
@@ -86,30 +91,72 @@ def bogoliubov_mode(bath: BogoliubovBath, k: float) -> BogoliubovMode:
     return BogoliubovMode(k=k, E=E, u=u, v=v, S=u - v)
 
 
-def bound_state_count(tweezer: TweezerSpec, grid_points: int = 1501) -> tuple[int, int]:
-    """Number of tweezer bound states: (closed-form estimate, numeric count).
+def _negative_pivots(diagonals, off_sq: np.ndarray) -> np.ndarray:
+    """Negative eigenvalues of symmetric tridiagonals, counted as the negative
+    pivots of the LDL^T recurrence d_i = T_ii - T_{i,i-1}^2 / d_{i-1}.
+
+    `diagonals` yields T_ii for every matrix at once, index by index; `off_sq`
+    is the squared off-diagonal of each matrix, the same at every index. Only
+    one pivot per matrix is held, so memory stays O(matrices).
+    """
+    # a pivot of magnitude below pivmin, an exact 0 included, is replaced by
+    # -pivmin, as LAPACK's dstebz does: the next pivot stays finite, and an
+    # eigenvalue at 0 to rounding counts as negative
+    pivmin = np.finfo(float).tiny * np.maximum(1.0, off_sq)
+    count = np.zeros(off_sq.shape, dtype=int)
+    d = None
+    for diag in diagonals:
+        d = diag if d is None else diag - off_sq / d
+        d = np.where(np.abs(d) < pivmin, -pivmin, d)
+        count += d < 0.0
+    return count
+
+
+def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, np.ndarray]:
+    """Number of tweezer bound states for arrays of (V0, w, M) cells:
+    (closed-form estimate, numeric count), two int arrays of the broadcast shape.
 
     The WKB-style closed form floor(2*sqrt(V0*M/(pi*w)) - 1/2), taken as given
     in natural units despite its odd dimensional structure, ships next to an
-    independent numeric count (finite-difference Gaussian-well eigenproblem,
-    negative eigenvalues) which is the authoritative one. Disagreements are
-    for the caller to report, not to reconcile silently.
+    independent numeric count which is the authoritative one. Disagreements
+    are for the caller to report, not to reconcile silently.
+
+    The numeric count is the number of negative eigenvalues of each cell's
+    finite-difference Hamiltonian -1/(2M) d^2/dx^2 - V0 exp(-(x/w)^2) on
+    `grid_points` points of its own box, found as the negative pivots of one
+    LDL^T recurrence run over the grid indices for all cells together.
+    Counting every eigenvalue below 0 is counting those in (-2 V0, 0): the
+    kinetic term is positive semidefinite, so no eigenvalue lies below the
+    potential minimum -V0. Working memory is a few arrays of one value per
+    cell.
     """
-    n_closed = math.floor(2.0 * math.sqrt(tweezer.V0 * tweezer.M / (math.pi * tweezer.w)) - 0.5)
+    V0, w, M = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (V0, w, M)))
+    if not (np.all(V0 > 0) and np.all(w > 0) and np.all(M > 0)):
+        raise DomainError("V0, w and M must all be > 0")
+    n_closed = np.floor(2.0 * np.sqrt(V0 * M / (math.pi * w)) - 0.5).astype(int)
 
     # box wide enough for weakly bound states: decay length 1/kappa with the
     # shallow-well estimate kappa ~ M * integral(V) = M V0 w sqrt(pi)
-    kappa = tweezer.M * tweezer.V0 * tweezer.w * math.sqrt(math.pi)
-    half_width = min(max(15.0 * tweezer.w, 10.0 / kappa), 2000.0 * tweezer.w)
-    x, h = np.linspace(-half_width, half_width, grid_points, retstep=True)
-    v_diag = -tweezer.V0 * np.exp(-(x / tweezer.w) ** 2)
-    kin = 1.0 / (2.0 * tweezer.M * h * h)
-    diag = v_diag + 2.0 * kin
-    off = np.full(grid_points - 1, -kin)
-    evals = eigvalsh_tridiagonal(diag, off, select="v",
-                                 select_range=(-2.0 * tweezer.V0, 0.0))
-    n_numeric = int(np.sum(evals < 0.0))
-    return n_closed, n_numeric
+    kappa = M * V0 * w * math.sqrt(math.pi)
+    half_width = np.minimum(np.maximum(15.0 * w, 10.0 / kappa), 2000.0 * w)
+    # the points of np.linspace(-half_width, half_width, grid_points)
+    h = (half_width + half_width) / (grid_points - 1)
+    kin = 1.0 / (2.0 * M * h * h)
+
+    def diagonals():
+        for i in range(grid_points - 1):
+            x = i * h - half_width
+            yield -V0 * np.exp(-(x / w) ** 2) + 2.0 * kin
+        yield -V0 * np.exp(-(half_width / w) ** 2) + 2.0 * kin
+
+    return n_closed, _negative_pivots(diagonals(), kin * kin)
+
+
+def bound_state_count(tweezer: TweezerSpec, grid_points: int = 1501) -> tuple[int, int]:
+    """Number of bound states of one tweezer: (closed-form estimate, numeric
+    count), a one-cell call of `bound_state_counts`."""
+    n_closed, n_numeric = bound_state_counts(tweezer.V0, tweezer.w, tweezer.M, grid_points)
+    return int(n_closed), int(n_numeric)
 
 
 def two_level_window(V0: float, M: float) -> tuple[float, float]:

@@ -103,7 +103,8 @@ def thermal_occupation(beta: float, k: float) -> float:
     """Bose-Einstein occupation n = 1/(exp(beta*|k|) - 1).
 
     k = 0 is the massless-field infrared divergence and is rejected; every
-    implemented rate evaluates at a resonant k0 = Omega > 0.
+    implemented rate evaluates at a resonant k0 = Omega > 0. So is a
+    beta*|k| so small (subnormal) that n overflows to inf.
     """
     if beta <= 0:
         raise DomainError(f"beta must be > 0, got {beta}")
@@ -112,7 +113,10 @@ def thermal_occupation(beta: float, k: float) -> float:
     x = beta * abs(k)
     if x > _EXP_OVERFLOW:
         return 0.0
-    return 1.0 / math.expm1(x)
+    n = 1.0 / math.expm1(x)
+    if not math.isfinite(n):
+        raise DivergenceError(f"occupation 1/(exp(x) - 1) overflows at x = beta*|k| = {x:g}")
+    return n
 
 
 def squeeze_parameter(frame: FrameConfig, k: float) -> float:

@@ -42,7 +42,10 @@ class RateSet:
     wedge_partition: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        for arr in (self.gamma_minus_plus, self.gamma_plus_minus, self.cross_pp, self.cross_mm):
+        for name in ("gamma_minus_plus", "gamma_plus_minus", "cross_pp", "cross_mm"):
+            arr = getattr(self, name)
+            if not np.all(np.isfinite(arr)):
+                raise DomainError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
 
     @property

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import eigvalsh_tridiagonal
 
 from accelatoms import ConfigError, DivergenceError, DomainError, NoRootError
+
 from accelatoms.bec import (BogoliubovBath, TweezerSpec, bogoliubov_mode,
-                            bound_state_count, coupling_tensor, map_to_detector_model,
-                            resonant_wavenumber, transition_energy, two_level_window,
-                            variational_width, _width_residual)
+                            bound_state_count, bound_state_counts, coupling_tensor,
+                            map_to_detector_model, resonant_wavenumber, transition_energy,
+                            two_level_window, variational_width, _negative_pivots,
+                            _width_residual)
 from accelatoms.kinematics import unruh_beta
 from accelatoms.rates import same_wedge_rates
 
@@ -74,6 +77,70 @@ def test_bound_state_count_monotone_in_depth():
     counts = [bound_state_count(TweezerSpec(V0=v, w=1.0, M=1.0))[1]
               for v in (1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(b >= a for a, b in zip(counts, counts[1:]))
+
+
+def _reference_count(V0, w, M, grid_points=1501):
+    """Reference count: LAPACK bisection for the eigenvalues of the
+    finite-difference tridiagonal in (-2 V0, 0], those below 0 counted."""
+    kappa = M * V0 * w * math.sqrt(math.pi)
+    half_width = min(max(15.0 * w, 10.0 / kappa), 2000.0 * w)
+    x, h = np.linspace(-half_width, half_width, grid_points, retstep=True)
+    kin = 1.0 / (2.0 * M * h * h)
+    evals = eigvalsh_tridiagonal(-V0 * np.exp(-(x / w) ** 2) + 2.0 * kin,
+                                 np.full(grid_points - 1, -kin), select="v",
+                                 select_range=(-2.0 * V0, 0.0))
+    return int(np.sum(evals < 0.0))
+
+
+def test_bound_state_counts_match_eigenvalue_oracle_on_preset_grid():
+    depths, waists = np.meshgrid(np.linspace(0.5, 8.0, 20), np.linspace(0.4, 2.4, 20),
+                                 indexing="ij")
+    n_closed, n_numeric = bound_state_counts(depths, waists, 2.0)
+    assert n_closed.shape == n_numeric.shape == (20, 20)
+    cells = list(zip(depths.ravel(), waists.ravel()))
+    assert n_numeric.ravel().tolist() == [_reference_count(v, w, 2.0) for v, w in cells]
+    # the one-cell call counts the same; a sample, since each call runs the
+    # whole recurrence
+    for (v, w), n in list(zip(cells, n_numeric.ravel()))[::23]:
+        assert bound_state_count(TweezerSpec(V0=v, w=w, M=2.0))[1] == n
+    assert n_numeric.min() == 1 and n_numeric.max() == 11
+    closed = np.floor(2.0 * np.sqrt(depths * 2.0 / (math.pi * waists)) - 0.5)
+    assert np.array_equal(n_closed, closed)
+
+
+def test_bound_state_counts_match_eigenvalue_oracle_on_random_cells():
+    rng = np.random.default_rng(2024)
+    V0 = rng.uniform(0.05, 20.0, 200)
+    w = rng.uniform(0.05, 5.0, 200)
+    M = rng.choice([0.5, 1.0, 2.0, 5.0], 200)
+    _, n_numeric = bound_state_counts(V0, w, M)
+    reference = [_reference_count(*cell) for cell in zip(V0, w, M)]
+    assert n_numeric.tolist() == reference
+    assert max(reference) > 20
+    # a coarser grid is counted by the same recurrence
+    _, coarse = bound_state_counts(V0[:20], w[:20], M[:20], grid_points=301)
+    assert coarse.tolist() == [_reference_count(*cell, grid_points=301)
+                               for cell in zip(V0[:20], w[:20], M[:20])]
+
+
+def test_negative_pivots_replaces_a_zero_pivot():
+    # [[0, 1], [1, 0]] has eigenvalues -1 and 1; its first pivot is exactly 0
+    one = np.array([1.0])
+    assert _negative_pivots(iter([np.zeros(1), np.zeros(1)]), one).tolist() == [1]
+    # [[0, 1], [1, 2]] has eigenvalues 1 -+ sqrt(2), one of them below 0
+    assert _negative_pivots(iter([np.zeros(1), np.full(1, 2.0)]), one).tolist() == [1]
+    # cells of one call are independent: [[2, 1], [1, 2]] has eigenvalues 1 and 3;
+    # [[-1, 1], [1, -1]] has -2 and 0, and its zero second pivot counts the
+    # eigenvalue 0 as negative, as dstebz's replacement does
+    diags = [np.array([0.0, 2.0, -1.0]), np.array([0.0, 2.0, -1.0])]
+    assert _negative_pivots(iter(diags), np.ones(3)).tolist() == [1, 0, 2]
+
+
+def test_bound_state_counts_rejects_nonpositive_cells():
+    with pytest.raises(DomainError):
+        bound_state_counts([1.0, -1.0], 1.0, 1.0)
+    with pytest.raises(DomainError):
+        bound_state_counts(1.0, [1.0, 0.0], 1.0)
 
 
 def test_two_level_window():

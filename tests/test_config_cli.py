@@ -1,8 +1,13 @@
+import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +16,7 @@ from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
                                SCENARIOS, ScenarioConfig, parse_config, validate)
+from accelatoms.runner import fmt, write_csv
 
 GOOD = """\
 schema_version = 1
@@ -131,6 +137,39 @@ def test_cli_rejects_a_step_that_would_overflow(tmp_path, capsys, recwarn):
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("input error:")
         assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_cli_rejects_a_subnormal_reference_frequency(tmp_path, capsys, recwarn):
+    # omega_ref = 1e-320 makes the thermal occupation 1/expm1(beta omega) overflow
+    cfg = tmp_path / "subnormal.cfg"
+    cfg.write_text("schema_version = 1\nomega_ref = 1e-320\n")
+    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_write_csv_rows_match_fmt(tmp_path):
+    rows = [[5e-324, -0.0, math.nan, math.inf, -math.inf],
+            [3, -7, 2**60, np.float64(0.1), np.int64(12)],
+            np.array([1e-310, 2.5e300, -1.0 / 3.0, np.float32(0.1), 1e16])]
+    path = tmp_path / "rows.csv"
+    write_csv(path, list("abcde"), rows)
+    expected = ["a,b,c,d,e"] + [",".join(fmt(v) for v in row) for row in rows]
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def test_bec_design_preset_does_not_import_scipy_linalg(tmp_path):
+    # a fresh interpreter, so no other test's imports count
+    code = ("import sys\nfrom accelatoms import cli\n"
+            f"assert cli.main(['preset', 'bec_design', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print('scipy.linalg' in sys.modules)\n")
+    src = str(Path(cli.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "nb_grid.csv").exists()
 
 
 def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):
