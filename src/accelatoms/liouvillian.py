@@ -48,7 +48,7 @@ from .rates import RateSet, kossakowski_matrix
 
 N_MAX_DENSE_DEFAULT = 4
 N_MAX_DENSE_HARD_CAP = 6
-_ASSEMBLY_CHUNK = 1 << 16  # COO entries summed into the CSR matrix at a time
+_ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
 _DENSE_BLOCKS = 128        # at most this many blocks, a dense product beats CSR dispatch
@@ -111,11 +111,6 @@ def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
     return (evecs * w) @ evecs.conj().T
 
 
-def _ladder(op: tuple[int, bool], n: int) -> np.ndarray:
-    atom, raising = op
-    return sigma_plus(atom, n) if raising else sigma_minus(atom, n)
-
-
 def _generator_terms(rates: RateSet, cross_pairing: str = "anomalous"):
     """(K[a, b], A_a, A_b^+) for each nonzero entry of the coefficient matrix K,
     standing for K[a, b] [A_a rho, A_b^+]; the caller adds the Hermitian
@@ -125,21 +120,17 @@ def _generator_terms(rates: RateSet, cross_pairing: str = "anomalous"):
     return [(K[a, b], (a % n, a >= n), (b % n, b < n)) for a, b in np.argwhere(K).tolist()]
 
 
-def _basis_map(ops, dim: int) -> np.ndarray:
-    """Image of every basis index under the product of ladder operators `ops`
-    (ops[0] acts first): the target index, or -1 where the product vanishes.
-    Every such product sends a basis state to at most one basis state."""
-    dst = np.arange(dim)
-    for atom, raising in ops:
-        bit = 1 << atom
-        alive = (dst >= 0) & (((dst & bit) == 0) == raising)
-        dst = np.where(alive, dst ^ bit, -1)
-    return dst
-
-
-def _flip(op: tuple[int, bool]) -> tuple[int, bool]:
-    # adjoint, and also transpose, of a real ladder operator
-    return op[0], not op[1]
+def _ladder_table(n: int) -> np.ndarray:
+    """Row o is the image of every basis index under A_o (sigma_1^-..sigma_N^-,
+    sigma_1^+..sigma_N^+), row 2N under the identity. Index dim means "the
+    product vanishes" and maps to itself, so A_p A_o is table[p, table[o]]."""
+    dim = 2**n
+    x = np.arange(dim + 1, dtype=np.int32)
+    bit = (1 << np.arange(n, dtype=np.int32))[:, None]
+    up = (x & bit) == 0
+    table = np.vstack((np.where(up, dim, x ^ bit), np.where(up, x ^ bit, dim), x))
+    table[:, dim] = dim
+    return table
 
 
 @dataclass(frozen=True)
@@ -148,12 +139,12 @@ class Sector:
     blocks on which the generator acts exactly.
 
     The entries of a state on the pairs form the vector v = rho.ravel()[pairs]
-    with d v/dt = L @ v for the sparse L of `LindbladGenerator.assemble`. The
-    pairs are split into blocks such that, for any two pairs of a block, the
-    row sums of L into every block agree (exact lumpability). A state that is
-    constant on every block, v = u[labels], then stays so, with
-    d u/dt = L_hat @ u. When no two pairs merge, every pair is its own block
-    and L_hat is L.
+    with d v/dt = L @ v for the CSR matrix L that `LindbladGenerator.assemble`
+    gathers from its jump table. The pairs are split into blocks such that,
+    for any two pairs of a block, the row sums of L into every block agree
+    (exact lumpability). A state that is constant on every block,
+    v = u[labels], then stays so, with d u/dt = L_hat @ u. When no two pairs
+    merge, every pair is its own block and L_hat is L.
     """
 
     dim: int
@@ -269,15 +260,16 @@ def _lump(L: sp.csr_array, swap: np.ndarray,
 
 
 class LindbladGenerator:
-    """The master equation compiled to basis maps over density-matrix pairs.
+    """The master equation compiled to one jump table over density-matrix pairs.
 
     Every term is A rho R with A, R products of ladder operators, so it sends
-    the pair (a, b) to at most one pair (f(a), g(b)) with a constant weight;
-    f and g are computed by bit arithmetic. Terms that leave the pair in place
-    (H and the diagonal parts of the no-jump terms) are folded into one
-    diagonal weight. From these maps `sector` finds the pairs reachable from
-    a state's support and assembles the sparse matrix L on them, with pair
-    index p = a * dim + b (the row-major position in rho).
+    the pair (a, b) to at most one pair (f(a), g(b)) with a constant weight.
+    Terms with equal (f, g) merge into one jump of the table: f and g as int
+    maps over the basis (dim where the product vanishes) and a weight. Jumps
+    that leave the pair in place (H and the diagonal parts of the no-jump
+    terms) fold into one diagonal weight. `sector` gathers the table to find
+    the pairs reachable from a state and to assemble the sparse L on them,
+    with pair index p = a * dim + b (row-major in rho).
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -288,9 +280,7 @@ class LindbladGenerator:
         self.n_atoms = n
         self.dim = dim
         self.rates = rates
-        ident = np.arange(dim)
-        self._left_diag = np.zeros(dim, dtype=complex)
-        self._right_diag = np.zeros(dim, dtype=complex)
+        h = np.zeros(dim)
         if H is not None:
             H = np.asarray(H, dtype=complex)
             if H.shape != (dim, dim):
@@ -298,77 +288,83 @@ class LindbladGenerator:
             h = H.diagonal()
             if np.any(H - np.diag(h)):
                 raise DomainError("H must be diagonal in the computational basis")
-            self._left_diag -= 1j * h
-            self._right_diag += 1j * h
 
-        # coef*[B rho, C] + h.c. = coef B rho C - coef C B rho
-        #                          + coef* C^+ rho B^+ - coef* rho B^+ C^+;
-        # the right factor acts on the column index through its transpose
-        merged: dict[tuple[bytes, bytes], list] = {}
-        for coef, b, c in terms:
-            cc = np.conj(coef)
-            for w, left, right in ((coef, [b], [_flip(c)]), (-coef, [b, c], []),
-                                   (cc, [_flip(c)], [b]), (-cc, [], [b, c])):
-                fl, fr = _basis_map(left, dim), _basis_map(right, dim)
-                entry = merged.setdefault((fl.tobytes(), fr.tobytes()), [fl, fr, 0.0])
-                entry[2] += w
+        # coef [A_a rho, A_b^+] + h.c. = coef A_a rho A_b^+ - coef A_b^+ A_a rho
+        #     + coef* A_b rho A_a^+ - coef* rho A_a^+ A_b; the right factor acts on
+        # the column index through its transpose (A_b^+ -> A_b, A_a^+ A_b -> A_b^+ A_a)
+        coef = np.array([t[0] for t in terms], dtype=complex)
+        a, c = np.array([(i + n * i_up, j + n * j_up) for _, (i, i_up), (j, j_up) in terms],
+                        dtype=np.intp).reshape(-1, 2).T  # rows of A_a and A_b^+
+        table = _ladder_table(n)
+        op_a, op_b = table[a], table[(c + n) % (2 * n)]
+        prod, one = table[c[:, None], op_a], np.broadcast_to(table[2 * n], op_a.shape)
+        fl = np.stack((op_a, prod, op_b, one), axis=1).reshape(-1, dim + 1)
+        fr = np.stack((op_b, one, op_a, prod), axis=1).reshape(-1, dim + 1)
+        w = np.stack((coef, -coef, coef.conj(), -coef.conj()), axis=1).ravel()
+        # merge equal pieces (as byte strings) in first-appearance order, weights in piece order
+        maps = np.hstack((fl, fr))
+        maps = maps.view(np.dtype((np.void, maps.itemsize * maps.shape[1]))).ravel()
+        _, first, inverse = np.unique(maps, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        w = (np.bincount(inverse, w.real) + 1j * np.bincount(inverse, w.imag))[order]
+        kept = first[order][w != 0]
+        fl, fr, w = fl[kept, :dim], fr[kept, :dim], w[w != 0]
 
-        self._jumps = []
-        for fl, fr, w in merged.values():
-            if w == 0:
-                continue
-            if np.array_equal(fr, ident) and np.all((fl == ident) | (fl < 0)):
-                self._left_diag += w * (fl >= 0)
-            elif np.array_equal(fl, ident) and np.all((fr == ident) | (fr < 0)):
-                self._right_diag += w * (fr >= 0)
-            else:
-                self._jumps.append((fl, fr, w))
+        ident = np.arange(dim)
+        on_left = (fr == ident).all(1) & ((fl == ident) | (fl == dim)).all(1)
+        on_right = ~on_left & (fl == ident).all(1) & ((fr == ident) | (fr == dim)).all(1)
+        self._left_diag = np.vstack((-1j * h, w[on_left, None] * (fl[on_left] != dim))).sum(0)
+        self._right_diag = np.vstack((1j * h, w[on_right, None] * (fr[on_right] != dim))).sum(0)
+        moves = ~(on_left | on_right)  # row x of _fl, _fr: x's image under every jump
+        self._fl, self._fr, self._w = fl[moves].T.copy(), fr[moves].T.copy(), w[moves]
+
+    def _targets(self, sources: np.ndarray):
+        """(jump, position in `sources`, target pair) of every jump that does not
+        vanish on its source, gathering _ASSEMBLY_CHUNK jump x pair entries at most."""
+        dim, jumps = self.dim, len(self._w)
+        step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
+        for start in range(0, len(sources), step):
+            a, b = np.divmod(sources[start:start + step], dim)
+            ta, tb = self._fl[a], self._fr[b]
+            live = np.flatnonzero((ta != dim) & (tb != dim))
+            src, jump = np.divmod(live, jumps)
+            yield jump, src + start, ta.ravel()[live] * dim + tb.ravel()[live]
 
     def reachable(self, support) -> np.ndarray:
         """Sorted pair indices reachable from the pair indices `support`
-        (breadth-first over the maps); the result is invariant under L."""
-        dim = self.dim
-        seen = np.zeros(dim * dim, dtype=bool)
-        frontier = np.unique(np.asarray(support, dtype=np.int64))
-        seen[frontier] = True
+        (breadth-first over the jumps); the result is invariant under L."""
+        seen = np.zeros(self.dim**2, dtype=bool)
+        seen[np.asarray(support, dtype=np.intp)] = True
+        frontier = np.flatnonzero(seen)
         while frontier.size:
-            a, b = np.divmod(frontier, dim)
-            found = []
-            for fl, fr, _ in self._jumps:
-                ta, tb = fl[a], fr[b]
-                t = (ta * dim + tb)[(ta >= 0) & (tb >= 0)]
-                t = t[~seen[t]]
-                seen[t] = True
-                found.append(t)
-            frontier = np.concatenate(found) if found else frontier[:0]
+            found = np.zeros_like(seen)
+            for _, _, t in self._targets(frontier):
+                found[t] = True
+            frontier = np.flatnonzero(found & ~seen)
+            seen[frontier] = True
         return np.flatnonzero(seen)
 
     def assemble(self, pairs: np.ndarray) -> sp.csr_array:
         """CSR matrix of L on the sorted pair indices `pairs`, which must be
         closed under the generator: (L v)[k] is d rho[pairs[k]]/dt."""
-        dim, m = self.dim, len(pairs)
-        a, b = np.divmod(pairs, dim)
-        total = sp.csr_array(sp.dia_array(
-            (self._left_diag[a] + self._right_diag[b], 0), shape=(m, m)))
-        rows, cols, vals, size = [], [], [], 0
-        for k, (fl, fr, w) in enumerate(self._jumps):
-            ta, tb = fl[a], fr[b]
-            src = np.flatnonzero((ta >= 0) & (tb >= 0))
-            tgt = ta[src] * dim + tb[src]
-            row = np.searchsorted(pairs, tgt)
-            if np.any(pairs[np.minimum(row, m - 1)] != tgt):
+        m = len(pairs)
+        a, b = np.divmod(pairs, self.dim)
+        diag = self._left_diag[a] + self._right_diag[b]
+        on = np.flatnonzero(diag)
+        rows, cols, vals = [on], [on], [diag[on]]
+        position = np.full(self.dim**2, -1, dtype=np.int32)
+        position[pairs] = np.arange(m)
+        for jump, src, tgt in self._targets(pairs):
+            rows.append(position[tgt])
+            if np.any(rows[-1] < 0):
                 raise DomainError("pair set is not closed under the generator")
-            rows.append(row)
             cols.append(src)
-            vals.append(np.full(src.size, w, dtype=complex))
-            size += src.size
-            # sum the pieces in bounded chunks rather than all at once
-            if size >= _ASSEMBLY_CHUNK or k == len(self._jumps) - 1:
-                total = total + sp.csr_array(sp.coo_array(
-                    (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                    shape=(m, m)))
-                rows, cols, vals, size = [], [], [], 0
-        return total
+            vals.append(self._w[jump])
+        # one COO triple with int32 indices, each list freed as its array is built
+        rows = np.concatenate(rows, dtype=np.int32)
+        cols = np.concatenate(cols, dtype=np.int32)
+        vals = np.concatenate(vals)
+        return sp.csr_array((vals, (rows, cols)), shape=(m, m))
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
@@ -426,7 +422,7 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
                         cross_pairing: str = "anomalous") -> np.ndarray:
     """Dense 4^N x 4^N generator acting on column-stacked density matrices.
 
-    Assembled independently of LindbladGenerator's basis maps, from the same
+    Assembled independently of LindbladGenerator's jump table, from the same
     coefficient table, via Kronecker identities (vec(A rho B) =
     (B^T kron A) vec(rho)); kept as the test oracle.
     """
@@ -443,8 +439,9 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
     if H is not None:
         H = np.asarray(H, dtype=complex)
         L += -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    for coef, b, c in _generator_terms(rates, cross_pairing):
-        b, c = _ladder(b, n), _ladder(c, n)
+    for coef, (i, i_up), (j, j_up) in _generator_terms(rates, cross_pairing):
+        b = sigma_plus(i, n) if i_up else sigma_minus(i, n)
+        c = sigma_plus(j, n) if j_up else sigma_minus(j, n)
         L += coef * (np.kron(c.T, b) - np.kron(eye, c @ b))
         # Hermitian conjugate of coef*[b rho, c]
         L += np.conj(coef) * (np.kron(b.conj(), c.conj().T)

@@ -30,23 +30,25 @@ class RateSet:
 
     gamma_minus_plus: emission channel (prefactor n+1), full N x N.
     gamma_plus_minus: absorption channel (prefactor n), full N x N.
-    cross_pp / cross_mm: anomalous inter-wedge channels, N_I x N_II
-        (cross_mm is the conjugate channel, cross_mm = conj(cross_pp)).
+    cross_pp: anomalous inter-wedge channel, N_I x N_II (cross_mm = conj(cross_pp)).
     wedge_partition: (indices in wedge I, indices in wedge II).
     """
 
     gamma_minus_plus: np.ndarray
     gamma_plus_minus: np.ndarray
     cross_pp: np.ndarray
-    cross_mm: np.ndarray
     wedge_partition: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __post_init__(self):
-        for name in ("gamma_minus_plus", "gamma_plus_minus", "cross_pp", "cross_mm"):
+        for name in ("gamma_minus_plus", "gamma_plus_minus", "cross_pp"):
             arr = getattr(self, name)
             if not np.all(np.isfinite(arr)):
                 raise DomainError(f"{name} has a non-finite entry")
             arr.setflags(write=False)
+
+    @property
+    def cross_mm(self) -> np.ndarray:
+        return self.cross_pp.conj()
 
     @property
     def n_atoms(self) -> int:
@@ -103,7 +105,7 @@ def same_wedge_rates(frame: FrameConfig, atoms: Sequence[AtomSpec],
     n = len(atoms)
     empty = np.zeros((n, 0), dtype=complex) if "I" in wedges else np.zeros((0, n), dtype=complex)
     part = (tuple(range(n)), ()) if "I" in wedges else ((), tuple(range(n)))
-    return RateSet(gmp, gpm, empty, empty.copy(), part)
+    return RateSet(gmp, gpm, empty, part)
 
 
 def cross_wedge_rates(frame: FrameConfig, atoms_I: Sequence[AtomSpec],
@@ -138,8 +140,7 @@ def cross_wedge_rates(frame: FrameConfig, atoms_I: Sequence[AtomSpec],
     phase = np.exp(1j * om1[:, None] * (xi1[:, None] - xi2[None, :]))
     cross = (frame.gamma0 * np.outer(s1, s2)
              * np.sqrt(nbar1 * (nbar1 + 1.0))[:, None] * resonant * phase)
-    return RateSet(gmp, gpm, cross, cross.conj(),
-                   (tuple(range(n1)), tuple(range(n1, n1 + n2))))
+    return RateSet(gmp, gpm, cross, (tuple(range(n1)), tuple(range(n1, n1 + n2))))
 
 
 def thermal_static_rates(beta: float, omegas: Sequence[float], positions: Sequence[float],

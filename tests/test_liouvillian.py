@@ -7,14 +7,14 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
-from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig
+from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig, liouvillian
 from accelatoms.kinematics import unruh_beta
-from accelatoms.liouvillian import (LindbladGenerator, _generator_terms, build_hamiltonian,
-                                    build_superoperator, check_density_matrix,
-                                    hamiltonian_from_omegas, lindblad_rhs,
-                                    steady_state_analysis, thermal_residual,
+from accelatoms.liouvillian import (LindbladGenerator, _generator_terms, _ladder_table,
+                                    build_hamiltonian, build_superoperator,
+                                    check_density_matrix, hamiltonian_from_omegas,
+                                    lindblad_rhs, steady_state_analysis, thermal_residual,
                                     thermal_state)
-from accelatoms.operators import all_excited, all_ground
+from accelatoms.operators import all_excited, all_ground, sigma_minus, sigma_plus
 from accelatoms.rates import cross_wedge_rates, same_wedge_rates
 
 
@@ -311,6 +311,59 @@ def test_generator_terms_are_the_written_master_equation():
             assert as_set == written_master_equation(rs, pairing)
     with pytest.raises(DomainError):
         _generator_terms(systems[0], "bogus")
+
+
+def basis_image(op):
+    """The image of every basis index under a 0/1 matrix with at most one
+    nonzero per column; dim where the column is zero."""
+    assert set(np.unique(op)) <= {0, 1} and (op != 0).sum(axis=0).max() <= 1
+    return np.where(op.any(axis=0), np.abs(op).argmax(axis=0), len(op))
+
+
+def test_ladder_table_matches_dense_products():
+    for n in (1, 2, 3):
+        dim = 2**n
+        table = _ladder_table(n)
+        # the Kossakowski ordering, then the identity
+        dense = ([sigma_minus(j, n) for j in range(n)] + [sigma_plus(j, n) for j in range(n)]
+                 + [np.eye(dim)])
+        assert table.shape == (2 * n + 1, dim + 1)
+        assert np.all(table[:, dim] == dim)
+        for o, op in enumerate(dense):
+            assert np.array_equal(table[o, :dim], basis_image(op))
+            for p, later in enumerate(dense):
+                product = table[p, table[o]]
+                assert np.array_equal(product[:dim], basis_image(later @ op))
+                assert product[dim] == dim
+
+
+def test_assemble_rejects_a_pair_set_that_is_not_closed():
+    gen = counter_wedge_four()
+    pairs = gen.reachable(np.flatnonzero(all_ground(4)))
+    gen.assemble(pairs)
+    for k in (0, len(pairs) // 2, len(pairs) - 1):
+        with pytest.raises(DomainError, match="not closed"):
+            gen.assemble(np.delete(pairs, k))
+
+
+def test_assembly_in_several_chunks_matches_one(monkeypatch):
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    fig2 = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    counter = counter_wedge_four()
+    cases = [(fig2, fig2.reachable(np.flatnonzero(all_excited(6)))),
+             (counter, np.arange(counter.dim**2))]
+    whole = [gen.assemble(pairs) for gen, pairs in cases]
+    reached = [gen.reachable(pairs[:1]) for gen, pairs in cases]
+    assert all(len(list(gen._targets(pairs))) == 1 for gen, pairs in cases)
+    monkeypatch.setattr(liouvillian, "_ASSEMBLY_CHUNK", 1000)
+    for (gen, pairs), L, seen in zip(cases, whole, reached):
+        assert len(list(gen._targets(pairs))) > 10
+        chunked = gen.assemble(pairs)
+        assert np.array_equal(chunked.indptr, L.indptr)
+        assert np.array_equal(chunked.indices, L.indices)
+        assert np.abs(chunked.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
+        assert np.array_equal(gen.reachable(pairs[:1]), seen)
 
 
 def test_reachable_sector_of_product_states():
