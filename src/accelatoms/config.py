@@ -24,12 +24,13 @@ N_ATOMS_MAX = 10
 # takes about 4 GB.
 N_STEPS_MAX = 10**7
 # Grid sizes of bec_design, from the cost of one item at the preset values on
-# a 2-core VM: a wavenumber point (mode, coupling tensor, two CSV rows) takes
-# 110 us and holds 0.8 kB until written, 11 s and 85 MB at 10^5; a waist point
-# (variational width, transition energy) takes 0.27 ms, 27 s at 10^5; and the
-# nb_grid_points^2 bound-state counts run as one vectorised pass, 40 us per cell
-# for the preset's 400 cells and 14 us per cell (0.55 s) at 200; a whole run at
-# 200 takes 1.3 s and peaks at 65 MB.
+# a 2-core VM, where the preset run peaks at 52 MB (VmHWM): a wavenumber point
+# (mode, coupling tensor, two table rows) takes 20 us and holds 0.7 kB until
+# its tables are written, 2 s and a 123 MB peak at 10^5; a waist point
+# (variational width, transition energy) takes 0.25 ms, 25 s at 10^5; and the
+# nb_grid_points^2 bound-state counts run as one vectorised pass, 0.9 s and a
+# 71 MB peak at 200. A run at 10^5 wavenumbers, 2 x 10^4 waists and 200 grid
+# points peaks at 125 MB.
 BEC_GRID_MAX = {"k_points": 10**5, "waist_points": 10**5, "nb_grid_points": 200}
 
 SCENARIOS = ("equal_acceleration_sweep", "mismatch_cases", "counter_wedge",
@@ -191,6 +192,19 @@ def resolve_omegas(config: ScenarioConfig, alphas: list[float], rule: str) -> li
     return list(config.omegas)
 
 
+def _run_labels(config: ScenarioConfig) -> list[str]:
+    """The label of each run of a dynamics scenario, in run order; a run
+    writes its time series to <label>.csv."""
+    if config.scenario == "equal_acceleration_sweep":
+        return [f"alpha_{a:g}".replace(".", "p") for a in config.sweep_alphas]
+    if config.scenario == "mismatch_cases":
+        return ["case_a", "case_b", *(f"case_c_dalpha_{d:g}".replace(".", "p")
+                                      for d in config.deltas_resonant)]
+    if config.scenario == "counter_wedge":
+        return ["counter"]
+    return ["run"]
+
+
 def validate(config: ScenarioConfig) -> list[str]:
     """All semantic violations, without running anything. Empty means runnable."""
     diags: list[str] = []
@@ -307,4 +321,10 @@ def validate(config: ScenarioConfig) -> list[str]:
             diags.append("delta_equal_omega: must be > 0")
         if not config.deltas_resonant or any(d <= 0 for d in config.deltas_resonant):
             diags.append("deltas_resonant: need positive mismatch values")
+    # labels keep 6 significant digits; two runs with one label would write one file
+    key = "sweep_alphas" if config.scenario == "equal_acceleration_sweep" else "deltas_resonant"
+    labels = _run_labels(config)
+    for label in sorted({label for label in labels if labels.count(label) > 1}):
+        diags.append(f"{key}: two values give the run label {label!r}; "
+                     "each run needs its own label")
     return diags

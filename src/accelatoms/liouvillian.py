@@ -51,7 +51,8 @@ N_MAX_DENSE_HARD_CAP = 6
 _ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
-_DENSE_BLOCKS = 128        # at most this many blocks, a dense product beats CSR dispatch
+_DENSE_BLOCKS = 128        # at most this many columns, a dense product beats CSR dispatch
+                           # (fig4 case_c submatrices: 4 against 9 us at 64, 7 against 10 at 128)
 
 
 def hamiltonian_from_omegas(omegas: Sequence[float]) -> np.ndarray:
@@ -176,9 +177,9 @@ class Sector:
         sums weights[r] over each block, so that weights @ v = result @ u for
         v = u[labels]. Dense when there are few blocks, like L_hat."""
         r, pos = np.nonzero(weights)
-        out = sp.csr_array((weights[r, pos].astype(complex), (r, self.labels[pos])),
-                           shape=(len(weights), len(self.block_swap)))
-        return out.toarray() if out.shape[1] <= _DENSE_BLOCKS else out
+        return _dense_if_few_blocks(sp.csr_array(
+            (weights[r, pos].astype(complex), (r, self.labels[pos])),
+            shape=(len(weights), len(self.block_swap))))
 
     def row_blocks(self) -> list[np.ndarray]:
         """rho is block diagonal over the components of the rows that the
@@ -215,8 +216,12 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         root = new
 
 
-def _lump(L: sp.csr_array, swap: np.ndarray,
-          v: np.ndarray) -> tuple[np.ndarray, np.ndarray | sp.csr_array]:
+def _dense_if_few_blocks(m: sp.csr_array) -> np.ndarray | sp.csr_array:
+    """m as a dense array if it has at most _DENSE_BLOCKS columns, else as it is."""
+    return m.toarray() if m.shape[1] <= _DENSE_BLOCKS else m
+
+
+def _lump(L: sp.csr_array, swap: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
     """The coarsest partition of the pairs into blocks that refines the
     classes of equal entries of v, is closed under `swap`, and over which L is
     exactly lumpable; returns the block labels and L_hat.
@@ -255,7 +260,7 @@ def _lump(L: sp.csr_array, swap: np.ndarray,
         L_hat = LP[np.unique(labels, return_index=True)[1]]
         residual = (LP - L_hat[labels]).data
         if not residual.size or np.abs(residual).max() <= _LUMP_CERTIFICATE * scale:
-            return labels, (L_hat.toarray() if k <= _DENSE_BLOCKS else L_hat)
+            return labels, L_hat
     return np.arange(m), L
 
 
@@ -379,6 +384,7 @@ class LindbladGenerator:
         a, b = np.divmod(pairs, dim)
         swap = np.searchsorted(pairs, b * dim + a)
         labels, L_hat = _lump(self.assemble(pairs), swap, rho.ravel()[pairs])
+        L_hat = _dense_if_few_blocks(L_hat)
         k = L_hat.shape[0]
         block_swap = np.empty(k, dtype=np.intp)
         block_swap[labels] = labels[swap]

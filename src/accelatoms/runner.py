@@ -1,6 +1,7 @@
-"""Scenario execution: expands a configuration into runs, integrates them
-(optionally fanned out over worker processes), and writes deterministic CSV
-time series plus a summary report.
+"""Scenario execution: a dynamics scenario expands into runs, integrated
+(optionally fanned out over worker processes); the condensate design computes
+its sweeps. Either returns tables and summary sections, with no I/O, and one
+writer turns them into deterministic CSV files plus a summary report.
 
 Float formatting is pinned to 17 significant digits with '.' decimal separator
 and '\n' line endings so identical configurations produce byte-identical files.
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bec
-from .config import ScenarioConfig, resolve_alphas, resolve_couplings, resolve_omegas, validate
+from .config import (ScenarioConfig, _run_labels, resolve_alphas, resolve_couplings,
+                     resolve_omegas, validate)
 from .dynamics import evolve
 from .errors import ConfigError
 from .kinematics import AtomSpec, FrameConfig
@@ -77,22 +79,20 @@ def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
                       for w, al, wd, c in zip(omegas, alphas, wedge_list, couplings))
         return RunSpec(label=label, frame=frame, atoms=atoms, initial=initial, **common)
 
+    # (alphas, omega rule, wedges) of each run, in the order of _run_labels
     if config.scenario == "equal_acceleration_sweep":
-        return [spec(f"alpha_{a:g}".replace(".", "p"), [a] * n)
-                for a in config.sweep_alphas]
-    if config.scenario == "mismatch_cases":
-        runs = [spec("case_a", [config.alpha_equal] * n, omega_rule="equal"),
-                spec("case_b",
-                     [config.alpha_base + config.delta_equal_omega * j for j in range(n)],
-                     omega_rule="equal")]
-        for d in config.deltas_resonant:
-            runs.append(spec(f"case_c_dalpha_{d:g}".replace(".", "p"),
-                             [config.alpha_base + d * j for j in range(n)],
-                             omega_rule="resonant"))
-        return runs
-    if config.scenario == "counter_wedge":
-        return [spec("counter", resolve_alphas(config), wedges=list(config.wedges))]
-    return [spec("run", resolve_alphas(config))]
+        variants = [([a] * n,) for a in config.sweep_alphas]
+    elif config.scenario == "mismatch_cases":
+        variants = [([config.alpha_equal] * n, "equal"),
+                    ([config.alpha_base + config.delta_equal_omega * j for j in range(n)],
+                     "equal")]
+        variants += [([config.alpha_base + d * j for j in range(n)], "resonant")
+                     for d in config.deltas_resonant]
+    elif config.scenario == "counter_wedge":
+        variants = [(resolve_alphas(config), None, list(config.wedges))]
+    else:
+        variants = [(resolve_alphas(config),)]
+    return [spec(label, *v) for label, v in zip(_run_labels(config), variants)]
 
 
 def execute_run(run: RunSpec) -> RunResult:
@@ -127,65 +127,54 @@ def execute_run(run: RunSpec) -> RunResult:
     return RunResult(run.label, series.times, series.columns, series.records, summary)
 
 
-def _write_run_outputs(out_dir: Path, config: ScenarioConfig,
-                       results: list[RunResult]) -> list[Path]:
+def _write_outputs(out_dir: Path, config: ScenarioConfig, tables, sections) -> list[Path]:
+    """Write each (name, header, 2-D float array) table as name.csv, then
+    summary.txt with one [section] of `key = value` lines per (section, items);
+    returns the paths in write order. An int or str value is written as it is,
+    any other number through fmt."""
     written = []
-    for res in results:
-        path = out_dir / f"{res.label}.csv"
-        rows = np.column_stack([res.times, res.records]).tolist()
-        write_csv(path, ["t", *res.columns], rows)
+    for name, header, table in tables:
+        path = out_dir / f"{name}.csv"
+        write_csv(path, header, table.tolist())
         written.append(path)
-    lines = [f"schema_version = {config.schema_version}",
-             f"scenario = {config.scenario}", ""]
-    for res in results:
-        lines.append(f"[run {res.label}]")
-        for key, val in res.summary.items():
-            lines.append(f"{key} = {val if isinstance(val, int) else fmt(val)}")
+    lines = [f"schema_version = {config.schema_version}", f"scenario = {config.scenario}", ""]
+    for section, items in sections:
+        lines.append(f"[{section}]")
+        lines.extend(f"{key} = {val if isinstance(val, (int, str)) else fmt(val)}"
+                     for key, val in items)
         lines.append("")
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text("\n".join(lines), newline="\n")
-    written.append(summary_path)
+    path = out_dir / "summary.txt"
+    path.write_text("\n".join(lines), newline="\n")
+    written.append(path)
     return written
 
 
-def _run_bec_design(config: ScenarioConfig, out_dir: Path) -> list[Path]:
+def _run_bec_design(config: ScenarioConfig):
+    """The condensate design's tables and summary sections."""
     bath = bec.BogoliubovBath(m=config.bec_m, mu=config.bec_mu, n0=config.bec_n0,
                               L=config.bec_length, u0=config.bec_u0,
                               T=config.bec_temperature)
     k_unit = math.sqrt(bath.m * bath.mu)
     ks = np.geomspace(config.k_min, config.k_max, config.k_points) * k_unit
     modes = [bec.bogoliubov_mode(bath, k) for k in ks]
-    written = []
+    dispersion = np.array([(m.k, m.E, m.u, m.v, m.S) for m in modes], dtype=float)
 
-    path = out_dir / "dispersion.csv"
-    write_csv(path, ["k", "E", "u", "v", "S"],
-              [[m.k, m.E, m.u, m.v, m.S] for m in modes])
-    written.append(path)
-
-    v0, mass = config.tweezer_depth, config.tweezer_mass
+    v0, mass, g = config.tweezer_depth, config.tweezer_mass, config.tweezer_coupling
     w_lo, w_hi = bec.two_level_window(v0, mass)
     margin = 1e-6 * (w_hi - w_lo)
-    waists = np.linspace(w_lo + margin, w_hi - margin, config.waist_points)
-    rows = []
-    for w in waists:
-        tw = bec.TweezerSpec(V0=v0, w=w, M=mass, g=config.tweezer_coupling)
+    sweep = []
+    for w in np.linspace(w_lo + margin, w_hi - margin, config.waist_points):
+        tw = bec.TweezerSpec(V0=v0, w=w, M=mass, g=g)
         a0 = bec.variational_width(tw)
-        rows.append([w, a0, bec.transition_energy(tw, a0)])
-    path = out_dir / "tweezer_sweep.csv"
-    write_csv(path, ["w", "a0", "Omega"], rows)
-    written.append(path)
+        sweep.append((w, a0, bec.transition_energy(tw, a0)))
+    sweep = np.array(sweep, dtype=float)
 
-    tweezers = [bec.TweezerSpec(V0=v0, w=w, M=mass, x=x, g=config.tweezer_coupling)
+    tweezers = [bec.TweezerSpec(V0=v0, w=w, M=mass, x=x, g=g)
                 for w, x in zip(config.tweezer_waists, config.tweezer_positions)]
     mapping = bec.map_to_detector_model(bath, tweezers, eps_res=config.eps_res)
     a0_ref = bec.variational_width(tweezers[0])
-    rows = []
-    for m in modes:
-        g00, g11, g10 = bec.coupling_tensor(bath, m, a0_ref, config.tweezer_coupling)
-        rows.append([m.k, abs(g00), abs(g11), abs(g10)])
-    path = out_dir / "couplings.csv"
-    write_csv(path, ["k", "G00_abs", "G11_abs", "G10_abs"], rows)
-    written.append(path)
+    couplings = np.array([(m.k, *map(abs, bec.coupling_tensor(bath, m, a0_ref, g)))
+                          for m in modes], dtype=float)
 
     depths = np.linspace(config.nb_depth_min, config.nb_depth_max, config.nb_grid_points)
     grid_waists = np.linspace(config.nb_waist_min, config.nb_waist_max, config.nb_grid_points)
@@ -193,38 +182,25 @@ def _run_bec_design(config: ScenarioConfig, out_dir: Path) -> list[Path]:
     cell_waists = np.tile(grid_waists, config.nb_grid_points)
     n_closed, n_numeric = bec.bound_state_counts(cell_depths, cell_waists, mass)
     agree = n_closed == n_numeric
-    path = out_dir / "nb_grid.csv"
-    write_csv(path, ["V0", "w", "nb_closed_form", "nb_numeric", "agree"],
-              np.column_stack([cell_depths, cell_waists, n_closed, n_numeric, agree]).tolist())
-    written.append(path)
 
-    lines = [f"schema_version = {config.schema_version}", "scenario = bec_design", "",
-             "[bath]"]
-    for name in ("m", "mu", "n0", "L", "u0", "T"):
-        lines.append(f"{name} = {fmt(getattr(bath, name))}")
-    lines.append(f"mu_mismatch = {fmt(bath.mu_mismatch())}")
-    lines.append("")
-    lines.append("[detector_model]")
-    lines.append(f"a = {fmt(mapping.frame.a)}")
-    lines.append(f"gamma0 = {fmt(mapping.frame.gamma0)}")
-    lines.append(f"stark_shift = {fmt(mapping.stark_shift)}")
+    tables = [("dispersion", ["k", "E", "u", "v", "S"], dispersion),
+              ("tweezer_sweep", ["w", "a0", "Omega"], sweep),
+              ("couplings", ["k", "G00_abs", "G11_abs", "G10_abs"], couplings),
+              ("nb_grid", ["V0", "w", "nb_closed_form", "nb_numeric", "agree"],
+               np.column_stack([cell_depths, cell_waists, n_closed, n_numeric, agree]))]
+    detector = [("a", mapping.frame.a), ("gamma0", mapping.frame.gamma0),
+                ("stark_shift", mapping.stark_shift)]
     for i, (atom, x, k_res) in enumerate(zip(mapping.atoms, mapping.positions,
                                              mapping.resonant_k), start=1):
-        lines.append(f"atom_{i}_omega = {fmt(atom.omega)}")
-        lines.append(f"atom_{i}_coupling = {fmt(atom.g)}")
-        lines.append(f"atom_{i}_position = {fmt(x)}")
-        lines.append(f"atom_{i}_resonant_k = {fmt(k_res)}")
-    for warning in mapping.warnings:
-        lines.append(f"warning = {warning}")
-    lines.append("")
-    lines.append("[nb_comparison]")
-    lines.append(f"grid_cells = {agree.size}")
-    lines.append(f"disagreements = {int(np.count_nonzero(~agree))}")
-    lines.append("")
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text("\n".join(lines), newline="\n")
-    written.append(summary_path)
-    return written
+        detector += [(f"atom_{i}_omega", atom.omega), (f"atom_{i}_coupling", atom.g),
+                     (f"atom_{i}_position", x), (f"atom_{i}_resonant_k", k_res)]
+    detector += [("warning", warning) for warning in mapping.warnings]
+    bath_items = [(name, getattr(bath, name)) for name in ("m", "mu", "n0", "L", "u0", "T")]
+    sections = [("bath", bath_items + [("mu_mismatch", bath.mu_mismatch())]),
+                ("detector_model", detector),
+                ("nb_comparison", [("grid_cells", agree.size),
+                                   ("disagreements", int(np.count_nonzero(~agree)))])]
+    return tables, sections
 
 
 def run_scenario(config: ScenarioConfig, out_dir: str | Path,
@@ -236,11 +212,15 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.scenario == "bec_design":
-        return _run_bec_design(config, out)
-    runs = _make_runs(config)
-    if threads > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(execute_run, runs))
+        tables, sections = _run_bec_design(config)
     else:
-        results = [execute_run(run) for run in runs]
-    return _write_run_outputs(out, config, results)
+        runs = _make_runs(config)
+        if threads > 1 and len(runs) > 1:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                results = list(pool.map(execute_run, runs))
+        else:
+            results = [execute_run(run) for run in runs]
+        tables = [(r.label, ["t", *r.columns], np.column_stack([r.times, r.records]))
+                  for r in results]
+        sections = [(f"run {r.label}", r.summary.items()) for r in results]
+    return _write_outputs(out, config, tables, sections)

@@ -16,7 +16,7 @@ from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
                                SCENARIOS, ScenarioConfig, parse_config, validate)
-from accelatoms.runner import fmt, write_csv
+from accelatoms.runner import fmt, run_scenario, write_csv
 
 GOOD = """\
 schema_version = 1
@@ -181,6 +181,55 @@ def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):
     assert cli.main(["run", str(cfg), "--out", str(tmp_path / "p"), "--threads", "2"]) == 3
     assert capsys.readouterr().err == serial
     assert serial.startswith("integration failure:") and "(step " in serial
+
+
+SWEEP = ("schema_version = 1\nscenario = equal_acceleration_sweep\nn_atoms = 2\n"
+         "sweep_alphas = 2, 4\nt_max = 1\ndt = 0.01\n")
+
+
+def _small_bec_design() -> str:
+    text = (Path(cli.__file__).parent / "presets" / "bec_design.cfg").read_text()
+    for name, value in (("k_points", 50), ("waist_points", 10), ("nb_grid_points", 4)):
+        text = re.sub(rf"^{name} = .*$", f"{name} = {value}", text, flags=re.M)
+    return text
+
+
+@pytest.mark.parametrize("text", [SWEEP, _small_bec_design()], ids=["sweep", "bec_design"])
+def test_run_scenario_writes_exactly_the_paths_it_returns(tmp_path, monkeypatch, text):
+    written = []
+    write_text = Path.write_text
+
+    def recording(path, *args, **kwargs):
+        written.append(path)
+        return write_text(path, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "write_text", recording)
+    out = tmp_path / "out"
+    paths = run_scenario(parse_config(text), out)
+    assert written == paths  # each once, in the returned order
+    assert sorted(out.iterdir()) == sorted(paths)
+    assert paths[-1].name == "summary.txt"
+
+
+@pytest.mark.parametrize("key, values, label", [
+    ("sweep_alphas", "2.0000001, 2.0000002", "alpha_2"),
+    ("sweep_alphas", "4, 2, 4", "alpha_4"),
+    ("deltas_resonant", "0.6, 0.6000001", "case_c_dalpha_0p6"),
+])
+def test_colliding_run_labels_are_rejected(tmp_path, capsys, key, values, label):
+    # run labels keep 6 significant digits; two runs with one label would
+    # write one CSV file, the second over the first
+    scenario = "equal_acceleration_sweep" if key == "sweep_alphas" else "mismatch_cases"
+    path = tmp_path / "collide.cfg"
+    path.write_text(f"schema_version = 1\nscenario = {scenario}\nn_atoms = 2\n"
+                    f"{key} = {values}\nt_max = 1\ndt = 0.01\n")
+    diags = validate(parse_config(path.read_text()))
+    assert len(diags) == 1 and diags[0].startswith(f"{key}:") and repr(label) in diags[0]
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == diags
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_nonpositive_explicit_omegas(tmp_path):

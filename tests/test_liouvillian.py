@@ -1,4 +1,5 @@
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -366,6 +367,51 @@ def test_assembly_in_several_chunks_matches_one(monkeypatch):
         assert np.array_equal(gen.reachable(pairs[:1]), seen)
 
 
+def test_assembled_coo_triple_has_no_repeated_entry(monkeypatch):
+    # each unfolded jump flips a distinct set of bits and the diagonal flips
+    # none, so no (row, col) of the triple that assemble hands to CSR repeats
+    rng = np.random.default_rng(31)
+    cases = []
+    for trial in range(20):
+        n = 1 + trial % 5
+        a = float(rng.uniform(0.3, 10.0))
+        frame = FrameConfig(a=a)
+        atoms = [AtomSpec(omega=float(rng.uniform(0.5, 2.0)),
+                          alpha=float(rng.uniform(0.5 * a, 3.0 * a)),
+                          g=float(rng.uniform(0.2, 1.5))) for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            half = n // 2
+            rates, h = cross_wedge_rates(
+                frame, atoms[:n - half],
+                [dataclasses.replace(at, wedge="II") for at in atoms[n - half:]]), None
+        else:
+            rates = same_wedge_rates(frame, atoms)
+            h = build_hamiltonian(atoms, frame) if trial % 2 else None
+        for pairing in ("anomalous", "literal"):
+            gen = LindbladGenerator(h, rates, pairing)
+            cases.append((gen, np.arange(gen.dim**2)))
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    fig2 = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    counter = counter_wedge_four()
+    cases += [(fig2, fig2.sector(all_excited(6)).pairs),
+              (counter, counter.sector(all_ground(4)).pairs)]
+    assert sum(gen.rates.has_cross for gen, _ in cases) >= 6
+
+    triples = []
+
+    def capture(arg, shape):
+        triples.append(arg)
+        return sp.csr_array(arg, shape=shape)
+
+    monkeypatch.setattr(liouvillian, "sp", types.SimpleNamespace(csr_array=capture))
+    for gen, pairs in cases:
+        L = gen.assemble(pairs)
+        vals, (rows, cols) = triples[-1]
+        keys = rows.astype(np.int64) * len(pairs) + cols
+        assert len(np.unique(keys)) == len(keys) == len(vals) == L.nnz
+
+
 def test_reachable_sector_of_product_states():
     frame = FrameConfig(a=2.0)
     atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
@@ -470,7 +516,7 @@ def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
     monkeypatch.setattr(gen, "assemble", lambda pairs: perturbed)
     sector = gen.sector(all_ground(4))
     assert np.array_equal(sector.labels, np.arange(70))
-    assert sector.L_hat is perturbed
+    assert np.array_equal(sector.L_hat, perturbed.toarray())
 
 
 def test_invariant_block_spectrum_matches_superoperator():
