@@ -75,20 +75,29 @@ class TweezerSpec:
             raise DomainError(f"coupling g must be >= 0, got {self.g}")
 
 
+def dispersion(m: float, mu: float, k: float) -> tuple[float, float]:
+    """(eps, E) = (k^2/(2m), sqrt(eps(eps + 2 mu))). Raises DivergenceError
+    unless eps and E^2 are normal floats: eps is 0 at k = 0, an underflow to a
+    subnormal would cost the mode its precision and an overflow its value."""
+    eps = k * k / (2.0 * m)
+    E2 = eps * (eps + 2.0 * mu)
+    tiny = np.finfo(float).tiny
+    if not (eps >= tiny and tiny <= E2 < math.inf):
+        raise DivergenceError(f"Bogoliubov mode at k = {k:g} is outside the floating-point "
+                              f"range (k^2/(2m) = {eps:g}, E^2 = {E2:g})")
+    return eps, math.sqrt(E2)
+
+
 def bogoliubov_mode(bath: BogoliubovBath, k: float) -> BogoliubovMode:
     """Energy, coefficients and structure factor of one Bogoliubov mode.
 
-    E = sqrt(eps(eps + 2 mu)) with eps = k^2/(2m); u,v = ((eps+mu)/(2E) +- 1/2)^(1/2);
-    S = u - v.
+    E = sqrt(eps(eps + 2 mu)) with eps = k^2/(2m); u^2 = (eps + mu + E)/(2E),
+    v = mu/(2 E u) and S = u - v = sqrt(eps/E), identities of
+    u,v = ((eps+mu)/(2E) +- 1/2)^(1/2) that subtract nothing.
     """
-    if k == 0:
-        raise DivergenceError("Bogoliubov coefficients diverge at k = 0")
-    eps = k * k / (2.0 * bath.m)
-    E = math.sqrt(eps * (eps + 2.0 * bath.mu))
-    ratio = (eps + bath.mu) / (2.0 * E)
-    u = math.sqrt(ratio + 0.5)
-    v = math.sqrt(ratio - 0.5)
-    return BogoliubovMode(k=k, E=E, u=u, v=v, S=u - v)
+    eps, E = dispersion(bath.m, bath.mu, k)
+    u = math.sqrt((eps + bath.mu + E) / (2.0 * E))
+    return BogoliubovMode(k=k, E=E, u=u, v=bath.mu / (2.0 * E * u), S=math.sqrt(eps / E))
 
 
 def _negative_pivots(diagonals, off_sq: np.ndarray) -> np.ndarray:
@@ -179,29 +188,25 @@ def variational_width(tweezer: TweezerSpec) -> float:
 
         w^4/(2 a0^2) * (2/a0^2 + 1/w^2)^3 = (V0 M)^2,
 
-    solved by bracketed bisection on a0 in (1e-3 w, 1e3 w)."""
-    lo, hi = 1e-3 * tweezer.w, 1e3 * tweezer.w
-    f_lo, f_hi = _width_residual(lo, tweezer), _width_residual(hi, tweezer)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0:
+    in t = a0^2/w^2 the quartic q t^4 = (t + 2)^3 with q = 2 (V0 M w^2)^2. Its
+    coefficients change sign once, so by Descartes' rule it has one positive
+    root, the largest real one; it is simple, f'(t) = (t+2)^2 (t+8)/t > 0, so
+    Newton steps polish it. It must give a0 in [1e-3 w, 1e3 w]."""
+    q = 2.0 * (tweezer.V0 * tweezer.M * tweezer.w * tweezer.w) ** 2
+
+    def f(t):
+        return q * t**4 - (t + 2.0) ** 3
+
+    # f < 0 below the root and f > 0 above it
+    if not f(1e-6) <= 0.0 <= f(1e6):
         raise NoRootError(
-            f"no variational-width root in ({lo:.3e}, {hi:.3e}); the configuration "
-            "is outside the validity range of the Gaussian ansatz")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f_mid = _width_residual(mid, tweezer)
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-        if hi - lo <= 1e-16 * mid:
-            break
-    return 0.5 * (lo + hi)
+            f"no variational-width root in ({1e-3 * tweezer.w:.3e}, {1e3 * tweezer.w:.3e}); "
+            "the configuration is outside the validity range of the Gaussian ansatz")
+    roots = np.roots([q, -1.0, -6.0, -12.0, -8.0])
+    t = float(roots[roots.imag == 0.0].real.max())
+    for _ in range(3):
+        t -= f(t) / (4.0 * q * t**3 - 3.0 * (t + 2.0) ** 2)
+    return tweezer.w * math.sqrt(t)
 
 
 def transition_energy(tweezer: TweezerSpec, a0: float) -> float:

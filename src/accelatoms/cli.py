@@ -33,25 +33,24 @@ def build_parser() -> argparse.ArgumentParser:
         prog="accelatoms",
         description="Collective dynamics of uniformly accelerated two-level atoms")
     sub = parser.add_subparsers(dest="command", required=True)
+    execution = argparse.ArgumentParser(add_help=False)
+    execution.add_argument("--threads", type=int, default=1,
+                           help="worker processes for sweep fan-out (default 1)")
+    execution.add_argument("--seed", type=int, default=None,
+                           help="reserved; the dynamics are deterministic")
 
-    run_p = sub.add_parser("run", help="execute a scenario configuration file")
+    run_p = sub.add_parser("run", parents=[execution],
+                           help="execute a scenario configuration file")
     run_p.add_argument("config", help="path to a configuration file")
     run_p.add_argument("--out", help="output directory (overrides output_path)")
-    run_p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sweep fan-out (default 1)")
-    run_p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the dynamics are deterministic")
 
     val_p = sub.add_parser("validate", help="check a configuration without running")
     val_p.add_argument("config", help="path to a configuration file")
 
-    pre_p = sub.add_parser("preset", help="execute a shipped preset scenario")
+    pre_p = sub.add_parser("preset", parents=[execution],
+                           help="execute a shipped preset scenario")
     pre_p.add_argument("name", help=f"one of: {', '.join(PRESETS)}")
     pre_p.add_argument("--out", required=True, help="output directory")
-    pre_p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for sweep fan-out (default 1)")
-    pre_p.add_argument("--seed", type=int, default=None,
-                       help="reserved; the dynamics are deterministic")
     return parser
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import ConfigError
+from .bec import dispersion
+from .errors import ConfigError, DivergenceError
 
 SCHEMA_VERSION = 1
 # The largest sector at N = 10 holds C(20, 10) = 184756 density-matrix pairs;
@@ -227,6 +228,13 @@ def validate(config: ScenarioConfig) -> list[str]:
                          f"entries matching tweezer_waists, got {len(config.tweezer_positions)}")
         if not 0 < config.k_min < config.k_max:
             diags.append("k_min/k_max: need 0 < k_min < k_max")
+        elif config.bec_m > 0 and config.bec_mu > 0:
+            k_unit = math.sqrt(config.bec_m * config.bec_mu)  # as the run scales k
+            for name in ("k_min", "k_max"):
+                try:
+                    dispersion(config.bec_m, config.bec_mu, getattr(config, name) * k_unit)
+                except DivergenceError as exc:
+                    diags.append(f"{name}: {exc}")
         for name, cap in BEC_GRID_MAX.items():
             value = getattr(config, name)
             if value < 2:

@@ -104,21 +104,12 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
     j, l = keep
     if j == l or not (0 <= j < n) or not (0 <= l < n):
         raise DomainError(f"keep={keep} must be two distinct atom indices < {n}")
-    t = rho.reshape([2] * (2 * n))
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    sub = [""] * (2 * n)
-    next_letter = 4
-    for atom in range(n):
-        r_ax, c_ax = n - 1 - atom, 2 * n - 1 - atom
-        if atom == j:
-            sub[r_ax], sub[c_ax] = "a", "c"
-        elif atom == l:
-            sub[r_ax], sub[c_ax] = "b", "d"
-        else:
-            sub[r_ax] = sub[c_ax] = letters[next_letter]
-            next_letter += 1
-    spec = "".join(sub) + "->badc"  # rows (l, j), cols (l, j): keep[0] is LSB
-    return np.einsum(spec, t).reshape(4, 4)
+    # atom a labels its row axis n-1-a and its column axis 2n-1-a with a, so
+    # einsum traces it out; a kept atom's column axis gets n+a instead
+    sub = [n - 1 - axis for axis in range(n)] * 2
+    sub[2 * n - 1 - j], sub[2 * n - 1 - l] = n + j, n + l
+    # rows (l, j), cols (l, j): keep[0] is LSB
+    return np.einsum(rho.reshape([2] * (2 * n)), sub, [l, j, n + l, n + j]).reshape(4, 4)
 
 
 _SY_SY = np.array([[0, 0, 0, -1],

@@ -10,7 +10,7 @@ class DomainError(AccelAtomsError, ValueError):
 
 
 class DivergenceError(DomainError):
-    """Evaluation at a point where the underlying expression diverges (k = 0)."""
+    """Evaluation where the underlying expression diverges or overflows (k = 0)."""
 
 
 class CapacityError(AccelAtomsError):

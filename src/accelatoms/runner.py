@@ -52,15 +52,6 @@ class RunSpec:
     pair: tuple[int, int] | None
 
 
-@dataclass
-class RunResult:
-    label: str
-    times: np.ndarray
-    columns: tuple[str, ...]
-    records: np.ndarray
-    summary: dict
-
-
 def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
     n = config.n_atoms
     pair = None if n < 2 else (config.concurrence_pair[0] - 1, config.concurrence_pair[1] - 1)
@@ -95,7 +86,9 @@ def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
     return [spec(label, *v) for label, v in zip(_run_labels(config), variants)]
 
 
-def execute_run(run: RunSpec) -> RunResult:
+def execute_run(run: RunSpec):
+    """One run's table (label, header, t and record columns) and its summary
+    section (section, items)."""
     n_i = sum(1 for a in run.atoms if a.wedge == "I")
     if n_i < len(run.atoms):
         rates = cross_wedge_rates(run.frame, run.atoms[:n_i], run.atoms[n_i:])
@@ -110,21 +103,20 @@ def execute_run(run: RunSpec) -> RunResult:
     n = len(run.atoms)
     r_tot = series.column("R_tot")
     peak_idx = int(r_tot.argmax())
-    summary = {f"P_inf_{j + 1}": series.column(f"P_{j + 1}")[-1] for j in range(n)}
-    summary.update({
-        "P_inf_total": series.column("P_tot")[-1],
-        "R_peak": r_tot[peak_idx],
-        "t_R_peak": series.times[peak_idx],
-        "C_coh_final": series.column("C_coh")[-1],
-        "C_conc_peak": series.column("C_conc").max(),
-        "max_trace_drift": series.max_trace_drift,
-    })
+    items = [(f"P_inf_{j + 1}", series.column(f"P_{j + 1}")[-1]) for j in range(n)]
+    items += [("P_inf_total", series.column("P_tot")[-1]),
+              ("R_peak", r_tot[peak_idx]),
+              ("t_R_peak", series.times[peak_idx]),
+              ("C_coh_final", series.column("C_coh")[-1]),
+              ("C_conc_peak", series.column("C_conc").max()),
+              ("max_trace_drift", series.max_trace_drift)]
     if n <= N_MAX_DENSE_DEFAULT:
         blocks = LindbladGenerator(H, rates).invariant_blocks()
-        summary["liouvillian_zero_multiplicity"] = sum(
+        items.append(("liouvillian_zero_multiplicity", sum(
             steady_state_analysis(block, zero_tol=1e-9 * run.frame.gamma0).zero_multiplicity
-            for block in blocks)
-    return RunResult(run.label, series.times, series.columns, series.records, summary)
+            for block in blocks)))
+    table = (run.label, ["t", *series.columns], np.column_stack([series.times, series.records]))
+    return table, (f"run {run.label}", items)
 
 
 def _write_outputs(out_dir: Path, config: ScenarioConfig, tables, sections) -> list[Path]:
@@ -220,7 +212,5 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
                 results = list(pool.map(execute_run, runs))
         else:
             results = [execute_run(run) for run in runs]
-        tables = [(r.label, ["t", *r.columns], np.column_stack([r.times, r.records]))
-                  for r in results]
-        sections = [(f"run {r.label}", r.summary.items()) for r in results]
+        tables, sections = zip(*results)
     return _write_outputs(out, config, tables, sections)

@@ -49,8 +49,21 @@ def test_bogoliubov_limits():
     assert mode.S == pytest.approx(1.0, rel=1e-3)
     es = [bogoliubov_mode(BATH, k).E for k in np.linspace(0.05, 20.0, 60)]
     assert all(b > a for a, b in zip(es, es[1:]))
-    with pytest.raises(DivergenceError):
-        bogoliubov_mode(BATH, 0.0)
+    # k = 0, k^2/(2m) underflowing to a subnormal or to 0, and E overflowing
+    for k in (0.0, 1e-160, 1e-170, 1e-200, 1e100):
+        with pytest.raises(DivergenceError):
+            bogoliubov_mode(BATH, k)
+
+
+def test_bogoliubov_coefficients_far_from_the_healing_scale():
+    # S is not formed as u - v: for eps << mu, S = (eps/(2 mu))^(1/4) =
+    # sqrt(k/2) at m = mu = 1, while u and v agree to far below rounding
+    mode = bogoliubov_mode(BATH, 1e-100)
+    assert mode.S == pytest.approx(math.sqrt(1e-100 / 2.0), rel=1e-15)
+    # for eps >> mu, v = mu/(2E) stays positive and u^2 - v^2 = 1
+    mode = bogoliubov_mode(BATH, 1e10)
+    assert mode.u**2 - mode.v**2 == pytest.approx(1.0, rel=1e-15)
+    assert mode.v == pytest.approx(1.0 / (2.0 * mode.E), rel=1e-15)
 
 
 def test_mu_mismatch_diagnostic():
@@ -157,15 +170,26 @@ def test_two_level_window():
     assert n_closed == 1
 
 
+# (V0, M, fraction of the way across the two-level window) of tweezers
+# inside the window, the mid-window tweezer first
+WINDOW_TWEEZERS = [MIDWINDOW] + [
+    TweezerSpec(V0=V0, w=lo + f * (hi - lo), M=M)
+    for V0, M, f in ((math.pi / 2, 2.0, 1e-6), (math.pi / 2, 2.0, 1 - 1e-6), (1.2, 2.0, 0.3),
+                     (2.0, 1.5, 0.7), (0.5, 1.0, 0.5), (50.0, 0.5, 0.2), (1e4, 3.0, 0.9))
+    for lo, hi in [two_level_window(V0, M)]]
+
+
 def test_variational_width_residual_and_regression():
-    a0 = variational_width(MIDWINDOW)
-    assert a0 == pytest.approx(MIDWINDOW_A0, rel=1e-12)
-    rel_residual = abs(_width_residual(a0, MIDWINDOW)) / (MIDWINDOW.V0 * MIDWINDOW.M) ** 2
-    assert rel_residual < 1e-10
-    # the root is unique: the residual changes sign exactly once in the bracket
-    grid = np.geomspace(1e-3 * MIDWINDOW.w, 1e3 * MIDWINDOW.w, 2000)
-    signs = np.sign([_width_residual(x, MIDWINDOW) for x in grid])
-    assert np.count_nonzero(np.diff(signs)) == 1
+    assert variational_width(MIDWINDOW) == pytest.approx(MIDWINDOW_A0, rel=1e-12)
+    for tweezer in WINDOW_TWEEZERS:
+        a0 = variational_width(tweezer)
+        assert type(a0) is float
+        rel_residual = abs(_width_residual(a0, tweezer)) / (tweezer.V0 * tweezer.M) ** 2
+        assert rel_residual <= 1e-12
+        # the root is unique: the residual changes sign exactly once in the bracket
+        grid = np.geomspace(1e-3 * tweezer.w, 1e3 * tweezer.w, 2000)
+        signs = np.sign([_width_residual(x, tweezer) for x in grid])
+        assert np.count_nonzero(np.diff(signs)) == 1
 
 
 def test_variational_width_scaling_covariance():
@@ -177,8 +201,11 @@ def test_variational_width_scaling_covariance():
 
 
 def test_variational_width_no_root():
-    with pytest.raises(NoRootError):
-        variational_width(TweezerSpec(V0=1e-5, w=1.0, M=1.0))
+    # a0 would lie above 1e3 w (a shallow well) or below 1e-3 w (a deep one,
+    # a0^2/w^2 about 4.5e-7)
+    for tweezer in (TweezerSpec(V0=1e-5, w=1.0, M=1.0), TweezerSpec(V0=1e13, w=1.0, M=1.0)):
+        with pytest.raises(NoRootError, match="no variational-width root in"):
+            variational_width(tweezer)
 
 
 def test_transition_energy():

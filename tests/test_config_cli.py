@@ -232,6 +232,36 @@ def test_colliding_run_labels_are_rejected(tmp_path, capsys, key, values, label)
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("key, value", [("k_min", "1e-160"), ("k_min", "1e-170"),
+                                        ("k_min", "1e-200"), ("k_max", "1e100")])
+def test_wavenumbers_without_a_representable_mode_are_rejected(tmp_path, capsys, key, value):
+    # k^2/(2m) underflows to a subnormal or to 0 at k_min, or E overflows at k_max
+    path = tmp_path / "k.cfg"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(),
+                           flags=re.M))
+    diags = validate(parse_config(path.read_text()))
+    assert len(diags) == 1 and diags[0].startswith(f"{key}:")
+    assert cli.main(["validate", str(path)]) == 2
+    assert capsys.readouterr().out.splitlines() == diags
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]
+    assert not (tmp_path / "o").exists()
+
+
+def test_bec_design_runs_far_above_the_healing_scale(tmp_path):
+    # at k = 1e10 sqrt(m mu), (eps + mu)/(2E) rounds to 1/2; v must not come
+    # from subtracting the two
+    path = tmp_path / "k.cfg"
+    path.write_text(re.sub(r"^k_max = .*$", "k_max = 1e10", _small_bec_design(), flags=re.M))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 0
+    k, E, u, v, S = np.loadtxt(tmp_path / "o" / "dispersion.csv", delimiter=",",
+                               skiprows=1).T
+    assert k[-1] == 1e10
+    assert np.all(v > 0) and np.all(S > 0) and np.all(S <= 1.0)
+    assert np.abs(u * u - v * v - 1.0).max() < 1e-12
+    assert np.allclose(S, np.sqrt(k * k / 2.0 / E), rtol=1e-15, atol=0)
+
+
 def test_validate_rejects_nonpositive_explicit_omegas(tmp_path):
     cfg = parse_config(GOOD)
     bad = ScenarioConfig(**{**cfg.__dict__, "omega_rule": "explicit", "omegas": (1.0, -1.0)})
