@@ -28,13 +28,19 @@ def _preset_text(name: str) -> str:
     return resources.files("accelatoms").joinpath(f"presets/{name}.cfg").read_text()
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="accelatoms",
         description="Collective dynamics of uniformly accelerated two-level atoms")
     sub = parser.add_subparsers(dest="command", required=True)
     execution = argparse.ArgumentParser(add_help=False)
-    execution.add_argument("--threads", type=int, default=1,
+    execution.add_argument("--threads", type=positive_int, default=1,
                            help="worker processes for sweep fan-out (default 1)")
     execution.add_argument("--seed", type=int, default=None,
                            help="reserved; the dynamics are deterministic")

@@ -165,8 +165,11 @@ def resolve_alphas(config: ScenarioConfig) -> list[float]:
     if raw.startswith("equal:"):
         return [_parse_float(raw.split(":", 1)[1])] * n
     if raw.startswith("mismatch:"):
-        base, step = _parse_floats(raw.split(":", 1)[1])
-        return [base + step * j for j in range(n)]
+        rule = _parse_floats(raw.split(":", 1)[1])
+        if len(rule) == 2:
+            return [rule[0] + rule[1] * j for j in range(n)]
+        raise ConfigError(["alphas: the mismatch rule takes two values, base and step; "
+                           f"got {len(rule)}"])
     vals = list(_parse_floats(raw))
     if len(vals) != n:
         raise ConfigError([f"alphas: expected {n} entries, got {len(vals)}"])

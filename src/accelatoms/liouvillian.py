@@ -140,7 +140,7 @@ class Sector:
     blocks on which the generator acts exactly.
 
     The entries of a state on the pairs form the vector v = rho.ravel()[pairs]
-    with d v/dt = L @ v for the CSR matrix L that `LindbladGenerator.assemble`
+    with d v/dt = L @ v for the CSR matrix L that `LindbladGenerator.restrict`
     gathers from its jump table. The pairs are split into blocks such that,
     for any two pairs of a block, the row sums of L into every block agree
     (exact lumpability). A state that is constant on every block,
@@ -272,9 +272,9 @@ class LindbladGenerator:
     Terms with equal (f, g) merge into one jump of the table: f and g as int
     maps over the basis (dim where the product vanishes) and a weight. Jumps
     that leave the pair in place (H and the diagonal parts of the no-jump
-    terms) fold into one diagonal weight. `sector` gathers the table to find
-    the pairs reachable from a state and to assemble the sparse L on them,
-    with pair index p = a * dim + b (row-major in rho).
+    terms) fold into one diagonal weight. `restrict` gathers the table once to
+    find the pairs reachable from a state and to assemble the sparse L on
+    them, with pair index p = a * dim + b (row-major in rho).
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -323,53 +323,42 @@ class LindbladGenerator:
         moves = ~(on_left | on_right)  # row x of _fl, _fr: x's image under every jump
         self._fl, self._fr, self._w = fl[moves].T.copy(), fr[moves].T.copy(), w[moves]
 
-    def _targets(self, sources: np.ndarray):
-        """(jump, position in `sources`, target pair) of every jump that does not
-        vanish on its source, gathering _ASSEMBLY_CHUNK jump x pair entries at most."""
+    def restrict(self, support) -> tuple[np.ndarray, sp.csr_array]:
+        """The sorted pair indices reachable from the pair indices `support`
+        (breadth-first over the jumps), which L leaves invariant, and the CSR
+        matrix of L on them: (L v)[k] is d rho[pairs[k]]/dt. Each pair's jumps
+        are gathered once, _ASSEMBLY_CHUNK jump x pair entries at a time; the
+        gather marks new pairs and keeps every live (source, target, jump)."""
         dim, jumps = self.dim, len(self._w)
         step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
-        for start in range(0, len(sources), step):
-            a, b = np.divmod(sources[start:start + step], dim)
-            ta, tb = self._fl[a], self._fr[b]
-            live = np.flatnonzero((ta != dim) & (tb != dim))
-            src, jump = np.divmod(live, jumps)
-            yield jump, src + start, ta.ravel()[live] * dim + tb.ravel()[live]
-
-    def reachable(self, support) -> np.ndarray:
-        """Sorted pair indices reachable from the pair indices `support`
-        (breadth-first over the jumps); the result is invariant under L."""
-        seen = np.zeros(self.dim**2, dtype=bool)
+        seen = np.zeros(dim**2, dtype=bool)
         seen[np.asarray(support, dtype=np.intp)] = True
         frontier = np.flatnonzero(seen)
+        src, tgt, jump = [], [], []  # int32: pair indices are below 4^10
         while frontier.size:
             found = np.zeros_like(seen)
-            for _, _, t in self._targets(frontier):
-                found[t] = True
+            for start in range(0, len(frontier), step):
+                chunk = frontier[start:start + step]
+                ta, tb = self._fl[chunk // dim], self._fr[chunk % dim]
+                live = np.flatnonzero((ta != dim) & (tb != dim))
+                tgt.append(ta.ravel()[live] * dim + tb.ravel()[live])
+                found[tgt[-1]] = True
+                src.append(chunk[live // jumps].astype(np.int32))
+                jump.append((live % jumps).astype(np.int32))
             frontier = np.flatnonzero(found & ~seen)
             seen[frontier] = True
-        return np.flatnonzero(seen)
-
-    def assemble(self, pairs: np.ndarray) -> sp.csr_array:
-        """CSR matrix of L on the sorted pair indices `pairs`, which must be
-        closed under the generator: (L v)[k] is d rho[pairs[k]]/dt."""
-        m = len(pairs)
-        a, b = np.divmod(pairs, self.dim)
-        diag = self._left_diag[a] + self._right_diag[b]
+        pairs = np.flatnonzero(seen)
+        diag = self._left_diag[pairs // dim] + self._right_diag[pairs % dim]
         on = np.flatnonzero(diag)
-        rows, cols, vals = [on], [on], [diag[on]]
-        position = np.full(self.dim**2, -1, dtype=np.int32)
-        position[pairs] = np.arange(m)
-        for jump, src, tgt in self._targets(pairs):
-            rows.append(position[tgt])
-            if np.any(rows[-1] < 0):
-                raise DomainError("pair set is not closed under the generator")
-            cols.append(src)
-            vals.append(self._w[jump])
-        # one COO triple with int32 indices, each list freed as its array is built
-        rows = np.concatenate(rows, dtype=np.int32)
-        cols = np.concatenate(cols, dtype=np.int32)
-        vals = np.concatenate(vals)
-        return sp.csr_array((vals, (rows, cols)), shape=(m, m))
+        position = np.empty(dim**2, dtype=np.int32)  # read at the pairs only
+        position[pairs] = np.arange(len(pairs))
+        # one COO triple with int32 indices, the diagonal first; the kept
+        # arrays and the table are freed before the conversion
+        vals = np.concatenate([diag[on], *(self._w[j] for j in jump)])
+        rows = np.concatenate([on, *(position[t] for t in tgt)], dtype=np.int32)
+        cols = np.concatenate([on, *(position[s] for s in src)], dtype=np.int32)
+        del src, tgt, jump, position
+        return pairs, sp.csr_array((vals, (rows, cols)), shape=(len(pairs),) * 2)
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
@@ -380,10 +369,10 @@ class LindbladGenerator:
         dim = self.dim
         if rho.shape != (dim, dim):
             raise DomainError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-        pairs = self.reachable(np.flatnonzero((rho != 0) | (rho.T != 0)))
+        pairs, L = self.restrict(np.flatnonzero((rho != 0) | (rho.T != 0)))
         a, b = np.divmod(pairs, dim)
         swap = np.searchsorted(pairs, b * dim + a)
-        labels, L_hat = _lump(self.assemble(pairs), swap, rho.ravel()[pairs])
+        labels, L_hat = _lump(L, swap, rho.ravel()[pairs])
         L_hat = _dense_if_few_blocks(L_hat)
         k = L_hat.shape[0]
         block_swap = np.empty(k, dtype=np.intp)
@@ -408,7 +397,7 @@ class LindbladGenerator:
         invariant sets (the weakly connected components of its graph, in the
         order of their smallest pair); the spectrum of L is the union of the
         blocks' spectra."""
-        L = self.assemble(np.arange(self.dim * self.dim))
+        _, L = self.restrict(np.arange(self.dim * self.dim))
         root = _components(L.shape[0], *L.nonzero())
         blocks = []
         for c in np.unique(root):

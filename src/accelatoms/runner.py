@@ -208,7 +208,8 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
     else:
         runs = _make_runs(config)
         if threads > 1 and len(runs) > 1:
-            with ProcessPoolExecutor(max_workers=threads) as pool:
+            # the pool forks all its workers at once, so start no idle ones
+            with ProcessPoolExecutor(max_workers=min(threads, len(runs))) as pool:
                 results = list(pool.map(execute_run, runs))
         else:
             results = [execute_run(run) for run in runs]

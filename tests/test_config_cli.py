@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
-from accelatoms import cli
+from accelatoms import cli, runner
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
                                SCENARIOS, ScenarioConfig, parse_config, validate)
 from accelatoms.runner import fmt, run_scenario, write_csv
@@ -60,6 +60,10 @@ def test_validate_reports_field_level_diagnostics():
     cfg = parse_config(GOOD)
     bad = ScenarioConfig(**{**cfg.__dict__, "alphas": "1, 2, 3"})
     assert any("alphas" in d for d in validate(bad))
+    for rule, count in (("mismatch: 0.2", 1), ("mismatch: 1, 2, 3", 3)):
+        bad = ScenarioConfig(**{**cfg.__dict__, "alphas": rule})
+        assert validate(bad) == ["alphas: the mismatch rule takes two values, base and "
+                                 f"step; got {count}"]
     bad = ScenarioConfig(**{**cfg.__dict__, "dt": 2.0})
     assert any("dt" in d for d in validate(bad))
     bad = ScenarioConfig(**{**cfg.__dict__, "scenario": "counter_wedge",
@@ -109,14 +113,51 @@ def test_cli_determinism_and_threads(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+def test_threads_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "sweep.cfg"
+    cfg_path.write_text(
+        "schema_version = 1\nscenario = equal_acceleration_sweep\nn_atoms = 2\n"
+        "sweep_alphas = 2, 4\nt_max = 1\ndt = 0.01\n")
+    config = parse_config(cfg_path.read_text())
+    workers = []
+
+    class SerialPool:  # records the worker count and maps in this process
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    run_scenario(config, tmp_path / "serial")
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    run_scenario(config, tmp_path / "fanned", threads=64)
+    assert workers == [2]
+    for name in ("alpha_2.csv", "alpha_4.csv", "summary.txt"):
+        assert ((tmp_path / "serial" / name).read_bytes()
+                == (tmp_path / "fanned" / name).read_bytes())
+    for value in ("0", "-1"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["run", str(cfg_path), "--out", str(tmp_path / "x"), "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads: must be at least 1" in capsys.readouterr().err
+    assert workers == [2] and not (tmp_path / "x").exists()
+
+
 def test_cli_validate_exit_codes(tmp_path):
     good = tmp_path / "good.cfg"
     good.write_text(GOOD)
     assert cli.main(["validate", str(good)]) == 0
     bad = tmp_path / "bad.cfg"
-    bad.write_text("schema_version = 1\nscenario = custom\nn_atoms = 3\nalphas = 1, 2\n")
-    assert cli.main(["validate", str(bad)]) == 2
-    assert cli.main(["run", str(bad), "--out", str(tmp_path / "x")]) == 2
+    for alphas in ("1, 2", "mismatch: 0.2", "mismatch: 1, 2, 3"):
+        bad.write_text(f"schema_version = 1\nscenario = custom\nn_atoms = 3\nalphas = {alphas}\n")
+        assert cli.main(["validate", str(bad)]) == 2
+        assert cli.main(["run", str(bad), "--out", str(tmp_path / "x")]) == 2
 
 
 def test_cli_integration_failure_exit_code(tmp_path):

@@ -356,7 +356,7 @@ def test_evolve_rejects_partial_final_step():
 def _reference_states(gen, rho0, pairs, dt, nsteps, record_every):
     # classic four-stage RK4 on the unreduced sector, with the same
     # Hermitization and trace renormalisation as evolve
-    L = gen.assemble(pairs)
+    _, L = gen.restrict(pairs)
     a, b = np.divmod(pairs, gen.dim)
     swap = np.searchsorted(pairs, b * gen.dim + a)
     v = rho0.ravel()[pairs].astype(complex)

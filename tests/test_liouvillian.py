@@ -338,13 +338,15 @@ def test_ladder_table_matches_dense_products():
                 assert product[dim] == dim
 
 
-def test_assemble_rejects_a_pair_set_that_is_not_closed():
-    gen = counter_wedge_four()
-    pairs = gen.reachable(np.flatnonzero(all_ground(4)))
-    gen.assemble(pairs)
-    for k in (0, len(pairs) // 2, len(pairs) - 1):
-        with pytest.raises(DomainError, match="not closed"):
-            gen.assemble(np.delete(pairs, k))
+class _CountedGathers:
+    """A jump table that counts the gathers made from it."""
+
+    def __init__(self, table):
+        self.table, self.count = table, 0
+
+    def __getitem__(self, rows):
+        self.count += 1
+        return self.table[rows]
 
 
 def test_assembly_in_several_chunks_matches_one(monkeypatch):
@@ -352,24 +354,31 @@ def test_assembly_in_several_chunks_matches_one(monkeypatch):
     atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
     fig2 = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
     counter = counter_wedge_four()
-    cases = [(fig2, fig2.reachable(np.flatnonzero(all_excited(6)))),
-             (counter, np.arange(counter.dim**2))]
-    whole = [gen.assemble(pairs) for gen, pairs in cases]
-    reached = [gen.reachable(pairs[:1]) for gen, pairs in cases]
-    assert all(len(list(gen._targets(pairs))) == 1 for gen, pairs in cases)
+    cases = [(fig2, np.flatnonzero(all_excited(6))), (counter, np.arange(counter.dim**2))]
+    whole = [gen.restrict(support) for gen, support in cases]
+    reached = [gen.restrict(pairs[:1])[0] for (gen, _), (pairs, _) in zip(cases, whole)]
+    spies = [_CountedGathers(gen._fl) for gen, _ in cases]
+    for (gen, _), spy in zip(cases, spies):
+        monkeypatch.setattr(gen, "_fl", spy)
+    # the whole sector as the support is one frontier, gathered in one chunk
+    for (gen, _), (pairs, _), spy in zip(cases, whole, spies):
+        assert np.array_equal(gen.restrict(pairs)[0], pairs) and spy.count == 1
     monkeypatch.setattr(liouvillian, "_ASSEMBLY_CHUNK", 1000)
-    for (gen, pairs), L, seen in zip(cases, whole, reached):
-        assert len(list(gen._targets(pairs))) > 10
-        chunked = gen.assemble(pairs)
-        assert np.array_equal(chunked.indptr, L.indptr)
-        assert np.array_equal(chunked.indices, L.indices)
-        assert np.abs(chunked.data - L.data).max() <= 1e-15 * np.abs(L.data).max()
-        assert np.array_equal(gen.reachable(pairs[:1]), seen)
+    for (gen, support), (pairs, L), seen, spy in zip(cases, whole, reached, spies):
+        for start in (pairs, support):
+            spy.count = 0
+            chunked_pairs, chunked = gen.restrict(start)
+            assert spy.count > 10
+            assert np.array_equal(chunked_pairs, pairs)
+            assert np.array_equal(chunked.indptr, L.indptr)
+            assert np.array_equal(chunked.indices, L.indices)
+            assert np.array_equal(chunked.data, L.data)
+        assert np.array_equal(gen.restrict(pairs[:1])[0], seen)
 
 
 def test_assembled_coo_triple_has_no_repeated_entry(monkeypatch):
     # each unfolded jump flips a distinct set of bits and the diagonal flips
-    # none, so no (row, col) of the triple that assemble hands to CSR repeats
+    # none, so no (row, col) of the triple that restrict hands to CSR repeats
     rng = np.random.default_rng(31)
     cases = []
     for trial in range(20):
@@ -406,7 +415,7 @@ def test_assembled_coo_triple_has_no_repeated_entry(monkeypatch):
 
     monkeypatch.setattr(liouvillian, "sp", types.SimpleNamespace(csr_array=capture))
     for gen, pairs in cases:
-        L = gen.assemble(pairs)
+        _, L = gen.restrict(pairs)
         vals, (rows, cols) = triples[-1]
         keys = rows.astype(np.int64) * len(pairs) + cols
         assert len(np.unique(keys)) == len(keys) == len(vals) == L.nnz
@@ -417,14 +426,14 @@ def test_reachable_sector_of_product_states():
     atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
     gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
     # equal excitation numbers on both sides: sum_k C(6, k)^2 = C(12, 6) pairs
-    assert len(gen.reachable(np.flatnonzero(all_excited(6)))) == 924
+    assert len(gen.restrict(np.flatnonzero(all_excited(6)))[0]) == 924
     # anomalous pairing: equal charge N_I - N_II (atoms 0, 1 in wedge I) on both sides
-    anomalous = counter_wedge_four().reachable(np.flatnonzero(all_ground(4)))
+    anomalous, _ = counter_wedge_four().restrict(np.flatnonzero(all_ground(4)))
     a, b = np.divmod(anomalous, 16)
     charge = np.array([(k & 1) + (k >> 1 & 1) - (k >> 2 & 1) - (k >> 3 & 1) for k in range(16)])
     assert len(anomalous) == 70 and np.all(charge[a] == charge[b])
     # literal pairing: the same code path finds the equal-excitation sector instead
-    literal = counter_wedge_four("literal").reachable(np.flatnonzero(all_ground(4)))
+    literal, L = counter_wedge_four("literal").restrict(np.flatnonzero(all_ground(4)))
     a, b = np.divmod(literal, 16)
     popcount = np.array([bin(k).count("1") for k in range(16)])
     assert len(literal) == 70 and np.all(popcount[a] == popcount[b])
@@ -432,13 +441,12 @@ def test_reachable_sector_of_product_states():
     # atom 0 in (|g> + |e>)/sqrt(2): the sectors with charge difference 0 and +-1
     coherent = np.zeros((16, 16))
     coherent[np.ix_([0, 1], [0, 1])] = 0.5
-    reached = counter_wedge_four().reachable(np.flatnonzero(coherent))
+    reached, _ = counter_wedge_four().restrict(np.flatnonzero(coherent))
     a, b = np.divmod(reached, 16)
     assert len(reached) == np.sum(np.abs(charge[:, None] - charge[None, :]) <= 1) == 182
     assert set(charge[a] - charge[b]) == {-1, 0, 1}
     # the generator on a sector agrees with the Kronecker oracle there
     gen = counter_wedge_four("literal")
-    L = gen.assemble(literal)
     rng = np.random.default_rng(4)
     rho = np.zeros(256, dtype=complex)
     rho[literal] = rng.normal(size=len(literal)) + 1j * rng.normal(size=len(literal))
@@ -489,7 +497,7 @@ def test_lumping_finds_the_symmetric_blocks():
     # the lumped generator reproduces L on every state constant on the blocks
     rng = np.random.default_rng(7)
     u = rng.normal(size=10) + 1j * rng.normal(size=10)
-    L = counter_wedge_four().assemble(sector.pairs)
+    _, L = counter_wedge_four().restrict(sector.pairs)
     assert np.abs(L @ u[sector.labels] - (sector.L_hat @ u)[sector.labels]).max() < 1e-13
 
 
@@ -501,19 +509,19 @@ def test_lumping_leaves_distinct_atoms_unreduced():
     m = len(sector.pairs)
     assert np.array_equal(sector.labels, np.arange(m))
     assert sector.L_hat.shape == (m, m)
-    assert abs(sector.L_hat - gen.assemble(sector.pairs)).max() == 0
+    assert abs(sector.L_hat - gen.restrict(sector.pairs)[1]).max() == 0
 
 
 def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
     gen = counter_wedge_four()
     lumped = gen.sector(all_ground(4))
-    exact = gen.assemble(lumped.pairs)
+    _, exact = gen.restrict(lumped.pairs)
     # one diagonal entry in the largest block moves far below the refinement's
     # gap and far above the certificate's tolerance
     i = np.flatnonzero(lumped.labels == np.bincount(lumped.labels).argmax())[-1]
     delta = 1e-11 * np.abs(exact.data).max()
     perturbed = exact + sp.csr_array(([delta], ([i], [i])), shape=exact.shape)
-    monkeypatch.setattr(gen, "assemble", lambda pairs: perturbed)
+    monkeypatch.setattr(gen, "restrict", lambda support: (lumped.pairs, perturbed))
     sector = gen.sector(all_ground(4))
     assert np.array_equal(sector.labels, np.arange(70))
     assert np.array_equal(sector.L_hat, perturbed.toarray())
@@ -537,7 +545,7 @@ def test_invariant_block_spectrum_matches_superoperator():
         # merged blocks would keep the spectrum, so pin the partition: the
         # weak components of L, ordered by their smallest pair
         blocks = gen.invariant_blocks()
-        L = gen.assemble(np.arange(gen.dim**2))
+        _, L = gen.restrict(np.arange(gen.dim**2))
         count, labels = connected_components(L != 0, directed=True, connection="weak")
         members = sorted((np.flatnonzero(labels == c) for c in range(count)), key=min)
         assert len(blocks) == count
