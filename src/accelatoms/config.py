@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .bec import dispersion
+from .bec import dispersion, two_level_window
 from .errors import ConfigError, DivergenceError
 
 SCHEMA_VERSION = 1
@@ -196,17 +196,23 @@ def resolve_omegas(config: ScenarioConfig, alphas: list[float], rule: str) -> li
     return list(config.omegas)
 
 
-def _run_labels(config: ScenarioConfig) -> list[str]:
-    """The label of each run of a dynamics scenario, in run order; a run
-    writes its time series to <label>.csv."""
+def expand_runs(config: ScenarioConfig) -> list[tuple[str, list[float], str, list[str]]]:
+    """(label, alphas, omega rule, wedges) of each run of a dynamics scenario,
+    in run order; a run writes its time series to <label>.csv."""
+    n = config.n_atoms
     if config.scenario == "equal_acceleration_sweep":
-        return [f"alpha_{a:g}".replace(".", "p") for a in config.sweep_alphas]
+        return [(f"alpha_{a:g}".replace(".", "p"), [a] * n, config.omega_rule, ["I"] * n)
+                for a in config.sweep_alphas]
     if config.scenario == "mismatch_cases":
-        return ["case_a", "case_b", *(f"case_c_dalpha_{d:g}".replace(".", "p")
-                                      for d in config.deltas_resonant)]
+        def ramp(step):
+            return [config.alpha_base + step * j for j in range(n)]
+        return [("case_a", [config.alpha_equal] * n, "equal", ["I"] * n),
+                ("case_b", ramp(config.delta_equal_omega), "equal", ["I"] * n),
+                *((f"case_c_dalpha_{d:g}".replace(".", "p"), ramp(d), "resonant", ["I"] * n)
+                  for d in config.deltas_resonant)]
     if config.scenario == "counter_wedge":
-        return ["counter"]
-    return ["run"]
+        return [("counter", resolve_alphas(config), config.omega_rule, list(config.wedges))]
+    return [("run", resolve_alphas(config), config.omega_rule, ["I"] * n)]
 
 
 def validate(config: ScenarioConfig) -> list[str]:
@@ -224,8 +230,17 @@ def validate(config: ScenarioConfig) -> list[str]:
                 diags.append(f"{name}: must be > 0")
         if config.tweezer_coupling < 0:
             diags.append("tweezer_coupling: must be >= 0")
+        if config.eps_res <= 0:
+            diags.append("eps_res: must be > 0")
         if not config.tweezer_waists:
             diags.append("tweezer_waists: at least one tweezer required")
+        elif config.tweezer_depth > 0 and config.tweezer_mass > 0:
+            # the detector mapping needs each tweezer to hold exactly two bound states
+            w_min, w_max = two_level_window(config.tweezer_depth, config.tweezer_mass)
+            for i, w in enumerate(config.tweezer_waists):
+                if not w_min < w < w_max:
+                    diags.append(f"tweezer_waists: waist {i + 1} = {w:g} outside the "
+                                 f"two-level window ({w_min:g}, {w_max:g})")
         if len(config.tweezer_positions) != len(config.tweezer_waists):
             diags.append(f"tweezer_positions: expected {len(config.tweezer_waists)} "
                          f"entries matching tweezer_waists, got {len(config.tweezer_positions)}")
@@ -276,6 +291,8 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.append("gamma0: must be >= 0")
     if config.eps_res <= 0:
         diags.append("eps_res: must be > 0")
+    if config.omega_ref <= 0:
+        diags.append("omega_ref: must be > 0")
     try:
         if any(a <= 0 for a in resolve_alphas(config)):
             diags.append("alphas: all proper accelerations must be > 0")
@@ -332,9 +349,12 @@ def validate(config: ScenarioConfig) -> list[str]:
             diags.append("delta_equal_omega: must be > 0")
         if not config.deltas_resonant or any(d <= 0 for d in config.deltas_resonant):
             diags.append("deltas_resonant: need positive mismatch values")
-    # labels keep 6 significant digits; two runs with one label would write one file
-    key = "sweep_alphas" if config.scenario == "equal_acceleration_sweep" else "deltas_resonant"
-    labels = _run_labels(config)
+    # labels keep 6 significant digits; two runs with one label would write one
+    # file. Only the multi-run scenarios can collide; expanding the others would
+    # report a malformed alphas twice.
+    key = {"equal_acceleration_sweep": "sweep_alphas",
+           "mismatch_cases": "deltas_resonant"}.get(config.scenario)
+    labels = [run[0] for run in expand_runs(config)] if key else []
     for label in sorted({label for label in labels if labels.count(label) > 1}):
         diags.append(f"{key}: two values give the run label {label!r}; "
                      "each run needs its own label")

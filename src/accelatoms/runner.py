@@ -1,7 +1,8 @@
-"""Scenario execution: a dynamics scenario expands into runs, integrated
-(optionally fanned out over worker processes); the condensate design computes
-its sweeps. Either returns tables and summary sections, with no I/O, and one
-writer turns them into deterministic CSV files plus a summary report.
+"""Scenario execution: each run that config.expand_runs lists for a dynamics
+scenario is integrated (optionally fanned out over worker processes); the
+condensate design computes its sweeps. Either returns tables and summary
+sections, with no I/O, and one writer turns them into deterministic CSV files
+plus a summary report.
 
 Float formatting is pinned to 17 significant digits with '.' decimal separator
 and '\n' line endings so identical configurations produce byte-identical files.
@@ -17,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import bec
-from .config import (ScenarioConfig, _run_labels, resolve_alphas, resolve_couplings,
-                     resolve_omegas, validate)
+from .config import ScenarioConfig, expand_runs, resolve_couplings, resolve_omegas, validate
 from .dynamics import evolve
 from .errors import ConfigError
 from .kinematics import AtomSpec, FrameConfig
@@ -62,28 +62,14 @@ def _make_runs(config: ScenarioConfig) -> list[RunSpec]:
     else:
         initial = ("e" if config.initial_state == "all_excited" else "g") * n
 
-    def spec(label, alphas, omega_rule=None, wedges=None):
+    runs = []
+    for label, alphas, omega_rule, wedges in expand_runs(config):
         frame = FrameConfig(a=alphas[0], eps_res=config.eps_res, gamma0=config.gamma0)
-        omegas = resolve_omegas(config, alphas, omega_rule or config.omega_rule)
-        wedge_list = wedges or ["I"] * n
+        omegas = resolve_omegas(config, alphas, omega_rule)
         atoms = tuple(AtomSpec(omega=w, alpha=al, wedge=wd, g=c)
-                      for w, al, wd, c in zip(omegas, alphas, wedge_list, couplings))
-        return RunSpec(label=label, frame=frame, atoms=atoms, initial=initial, **common)
-
-    # (alphas, omega rule, wedges) of each run, in the order of _run_labels
-    if config.scenario == "equal_acceleration_sweep":
-        variants = [([a] * n,) for a in config.sweep_alphas]
-    elif config.scenario == "mismatch_cases":
-        variants = [([config.alpha_equal] * n, "equal"),
-                    ([config.alpha_base + config.delta_equal_omega * j for j in range(n)],
-                     "equal")]
-        variants += [([config.alpha_base + d * j for j in range(n)], "resonant")
-                     for d in config.deltas_resonant]
-    elif config.scenario == "counter_wedge":
-        variants = [(resolve_alphas(config), None, list(config.wedges))]
-    else:
-        variants = [(resolve_alphas(config),)]
-    return [spec(label, *v) for label, v in zip(_run_labels(config), variants)]
+                      for w, al, wd, c in zip(omegas, alphas, wedges, couplings))
+        runs.append(RunSpec(label=label, frame=frame, atoms=atoms, initial=initial, **common))
+    return runs
 
 
 def execute_run(run: RunSpec):

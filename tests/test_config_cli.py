@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
 from accelatoms import cli, runner
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
-                               SCENARIOS, ScenarioConfig, parse_config, validate)
+                               SCENARIOS, ScenarioConfig, expand_runs, parse_config,
+                               validate)
 from accelatoms.runner import fmt, run_scenario, write_csv
 
 GOOD = """\
@@ -273,20 +274,56 @@ def test_colliding_run_labels_are_rejected(tmp_path, capsys, key, values, label)
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("key, value", [("k_min", "1e-160"), ("k_min", "1e-170"),
-                                        ("k_min", "1e-200"), ("k_max", "1e100")])
-def test_wavenumbers_without_a_representable_mode_are_rejected(tmp_path, capsys, key, value):
-    # k^2/(2m) underflows to a subnormal or to 0 at k_min, or E overflows at k_max
-    path = tmp_path / "k.cfg"
-    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(),
-                           flags=re.M))
-    diags = validate(parse_config(path.read_text()))
+def _assert_one_diagnostic(tmp_path, capsys, text, key):
+    # validate and run both exit 2 with the one diagnostic naming `key`, and
+    # run writes nothing
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    diags = validate(parse_config(text))
     assert len(diags) == 1 and diags[0].startswith(f"{key}:")
     assert cli.main(["validate", str(path)]) == 2
     assert capsys.readouterr().out.splitlines() == diags
     assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.splitlines() == [f"config error: {diags[0]}"]
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("key, value", [("k_min", "1e-160"), ("k_min", "1e-170"),
+                                        ("k_min", "1e-200"), ("k_max", "1e100")])
+def test_wavenumbers_without_a_representable_mode_are_rejected(tmp_path, capsys, key, value):
+    # k^2/(2m) underflows to a subnormal or to 0 at k_min, or E overflows at k_max
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(), flags=re.M)
+    _assert_one_diagnostic(tmp_path, capsys, text, key)
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_nonpositive_reference_frequency_is_rejected(tmp_path, capsys, value):
+    # the equal and resonant omega rules, and so every mismatch_cases run, read omega_ref
+    _assert_one_diagnostic(tmp_path, capsys, f"schema_version = 1\nomega_ref = {value}\n",
+                           "omega_ref")
+
+
+@pytest.mark.parametrize("key, value", [("tweezer_waists", "5, 1.12"),
+                                        ("tweezer_waists", "-1, 1.12"), ("eps_res", "0")])
+def test_condensate_inputs_the_detector_mapping_refuses_are_rejected(tmp_path, capsys,
+                                                                     key, value):
+    # a waist outside the two-level window (0.8, 1.333) holds other than two
+    # bound states; the mapped detector model needs eps_res > 0
+    text = re.sub(rf"^{key} = .*$", "", _small_bec_design(), flags=re.M)
+    _assert_one_diagnostic(tmp_path, capsys, f"{text}{key} = {value}\n", key)
+
+
+@pytest.mark.parametrize("preset, expected", [
+    ("fig2", [(f"alpha_{a}", [float(a)] * 6, "equal", ["I"] * 6) for a in (2, 4, 6, 8, 10)]),
+    ("fig4", [("case_a", [2.0] * 6, "equal", ["I"] * 6),
+              ("case_b", [0.2 + 0.6 * j for j in range(6)], "equal", ["I"] * 6),
+              ("case_c_dalpha_0p6", [0.2 + 0.6 * j for j in range(6)], "resonant", ["I"] * 6),
+              ("case_c_dalpha_0p03", [0.2 + 0.03 * j for j in range(6)], "resonant",
+               ["I"] * 6)]),
+    ("counter", [("counter", [2.0, 2.0], "equal", ["I", "II"])]),
+])
+def test_expand_runs_pairs_each_label_with_its_physics(preset, expected):
+    assert expand_runs(parse_config(cli._preset_text(preset))) == expected
 
 
 def test_bec_design_runs_far_above_the_healing_scale(tmp_path):
