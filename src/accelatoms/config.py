@@ -337,6 +337,8 @@ def validate(config: ScenarioConfig) -> list[str]:
                 diags.append("wedges: counter_wedge requires at least one atom in wedge I")
             if config.wedges != tuple(sorted(config.wedges)):
                 diags.append("wedges: list wedge-I atoms first, then wedge-II atoms")
+    elif config.wedges:
+        diags.append("wedges: only the counter_wedge scenario reads wedges")
     if config.scenario == "equal_acceleration_sweep":
         if not config.sweep_alphas:
             diags.append("sweep_alphas: at least one sweep value required")

@@ -258,7 +258,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
     times, rows, states = [], [], ([] if retain_states else None)
-    pending: list[tuple[int, bool, np.ndarray]] = []  # (step, is a record, u)
+    pending: list[tuple[int, bool, np.ndarray]] = []  # (steps taken, is a record, u)
     max_drift = 0.0
 
     def snapshot(step, is_record, u):
@@ -317,11 +317,11 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
             evaluate()  # an earlier snapshot's failure comes first
             raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
-                                   f"tolerance {_TRACE_HARD}", step=step)
+                                   f"tolerance {_TRACE_HARD}", step=step + 1)
         max_drift = max(max_drift, abs(tr - 1.0))
         u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
         if (step + 1) % _CHECK_EVERY == 0 or step == nsteps - 1:
-            snapshot(step, False, u)
+            snapshot(step + 1, False, u)
             evaluate()
     snapshot(nsteps, True, u)
     evaluate()

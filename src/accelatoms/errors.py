@@ -20,9 +20,11 @@ class CapacityError(AccelAtomsError):
 class IntegrationError(AccelAtomsError):
     """The time integrator breached a hard state invariant.
 
-    Carries the failing step index so runs can be diagnosed and the CLI can
-    report where the trajectory went bad. The constructor arguments are kept
-    in `args`, so the error survives pickling from a worker process.
+    Carries the failing step so runs can be diagnosed and the CLI can report
+    where the trajectory went bad: `step` counts the steps taken to reach the
+    failing state, which is the state at time step * dt. The constructor
+    arguments are kept in `args`, so the error survives pickling from a worker
+    process.
     """
 
     def __init__(self, message: str, step: int):

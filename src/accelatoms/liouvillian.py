@@ -112,15 +112,6 @@ def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
     return (evecs * w) @ evecs.conj().T
 
 
-def _generator_terms(rates: RateSet, cross_pairing: str = "anomalous"):
-    """(K[a, b], A_a, A_b^+) for each nonzero entry of the coefficient matrix K,
-    standing for K[a, b] [A_a rho, A_b^+]; the caller adds the Hermitian
-    conjugate of the whole sum. Operators are given as (atom, raising)."""
-    K = kossakowski_matrix(rates, cross_pairing)
-    n = rates.n_atoms
-    return [(K[a, b], (a % n, a >= n), (b % n, b < n)) for a, b in np.argwhere(K).tolist()]
-
-
 def _ladder_table(n: int) -> np.ndarray:
     """Row o is the image of every basis index under A_o (sigma_1^-..sigma_N^-,
     sigma_1^+..sigma_N^+), row 2N under the identity. Index dim means "the
@@ -279,7 +270,7 @@ class LindbladGenerator:
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
                  cross_pairing: str = "anomalous"):
-        terms = _generator_terms(rates, cross_pairing)
+        K = kossakowski_matrix(rates, cross_pairing)
         n = rates.n_atoms
         dim = 2**n
         self.n_atoms = n
@@ -297,12 +288,12 @@ class LindbladGenerator:
         # coef [A_a rho, A_b^+] + h.c. = coef A_a rho A_b^+ - coef A_b^+ A_a rho
         #     + coef* A_b rho A_a^+ - coef* rho A_a^+ A_b; the right factor acts on
         # the column index through its transpose (A_b^+ -> A_b, A_a^+ A_b -> A_b^+ A_a)
-        coef = np.array([t[0] for t in terms], dtype=complex)
-        a, c = np.array([(i + n * i_up, j + n * j_up) for _, (i, i_up), (j, j_up) in terms],
-                        dtype=np.intp).reshape(-1, 2).T  # rows of A_a and A_b^+
-        table = _ladder_table(n)
-        op_a, op_b = table[a], table[(c + n) % (2 * n)]
-        prod, one = table[c[:, None], op_a], np.broadcast_to(table[2 * n], op_a.shape)
+        a, b = np.nonzero(K)  # row-major, the order the pieces merge in
+        coef = K[a, b]
+        table = _ladder_table(n)  # row a is A_a, row b A_b, row (b + N) mod 2N A_b^+
+        op_a, op_b = table[a], table[b]
+        prod = table[((b + n) % (2 * n))[:, None], op_a]  # A_b^+ A_a
+        one = np.broadcast_to(table[2 * n], op_a.shape)
         fl = np.stack((op_a, prod, op_b, one), axis=1).reshape(-1, dim + 1)
         fr = np.stack((op_b, one, op_a, prod), axis=1).reshape(-1, dim + 1)
         w = np.stack((coef, -coef, coef.conj(), -coef.conj()), axis=1).ravel()
@@ -434,13 +425,14 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
     if H is not None:
         H = np.asarray(H, dtype=complex)
         L += -1j * (np.kron(eye, H) - np.kron(H.T, eye))
-    for coef, (i, i_up), (j, j_up) in _generator_terms(rates, cross_pairing):
-        b = sigma_plus(i, n) if i_up else sigma_minus(i, n)
-        c = sigma_plus(j, n) if j_up else sigma_minus(j, n)
-        L += coef * (np.kron(c.T, b) - np.kron(eye, c @ b))
-        # Hermitian conjugate of coef*[b rho, c]
-        L += np.conj(coef) * (np.kron(b.conj(), c.conj().T)
-                              - np.kron(c.conj() @ b.conj(), eye))
+    K = kossakowski_matrix(rates, cross_pairing)
+    ops = [sigma_minus(j, n) for j in range(n)] + [sigma_plus(j, n) for j in range(n)]
+    for a, b in zip(*np.nonzero(K)):
+        coef, A, B = K[a, b], ops[a], ops[(b + n) % (2 * n)]  # B is A_b^+
+        L += coef * (np.kron(B.T, A) - np.kron(eye, B @ A))
+        # Hermitian conjugate of coef*[A rho, B]
+        L += np.conj(coef) * (np.kron(A.conj(), B.conj().T)
+                              - np.kron(B.conj() @ A.conj(), eye))
     return L
 
 

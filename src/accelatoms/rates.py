@@ -79,12 +79,24 @@ def _kinematics_arrays(frame, atoms, xi_override):
     return omega, xi, s
 
 
-def _normal_channels(frame, omega, xi, s, beta):
+def _rate_set(frame, omega, xi, s, n_i):
+    """The RateSet of atoms 0..n_i-1 in wedge I and the rest in wedge II: the
+    normal channels within each wedge, the anomalous ones between them."""
+    n, beta = len(s), unruh_beta(frame)
     nbar = np.array([thermal_occupation(beta, w) for w in omega])
     resonant = np.abs(omega[:, None] - omega[None, :]) < frame.eps_res
     phase = np.exp(1j * omega[:, None] * (xi[:, None] - xi[None, :]))
-    base = frame.gamma0 * np.outer(s, s) * resonant * phase
-    return base * (nbar + 1.0)[:, None], base * nbar[:, None]
+    weight = frame.gamma0 * np.outer(s, s)
+    base = weight * resonant * phase
+    in_i = np.arange(n) < n_i
+    same_wedge = in_i[:, None] == in_i[None, :]
+    gmp = np.where(same_wedge, base * (nbar + 1.0)[:, None], 0)
+    gpm = np.where(same_wedge, base * nbar[:, None], 0)
+    cross = np.zeros((n_i, n - n_i), dtype=complex)
+    if cross.size:  # n(n+1) can overflow where it is not needed
+        i, k, n1 = slice(0, n_i), slice(n_i, n), nbar[:n_i]
+        cross = weight[i, k] * np.sqrt(n1 * (n1 + 1.0))[:, None] * resonant[i, k] * phase[i, k]
+    return RateSet(gmp, gpm, cross, (tuple(range(n_i)), tuple(range(n_i, n))))
 
 
 def same_wedge_rates(frame: FrameConfig, atoms: Sequence[AtomSpec],
@@ -101,11 +113,7 @@ def same_wedge_rates(frame: FrameConfig, atoms: Sequence[AtomSpec],
     if len(wedges) != 1:
         raise DomainError("same_wedge_rates requires all atoms in one wedge")
     omega, xis, s = _kinematics_arrays(frame, atoms, xi)
-    gmp, gpm = _normal_channels(frame, omega, xis, s, unruh_beta(frame))
-    n = len(atoms)
-    empty = np.zeros((n, 0), dtype=complex) if "I" in wedges else np.zeros((0, n), dtype=complex)
-    part = (tuple(range(n)), ()) if "I" in wedges else ((), tuple(range(n)))
-    return RateSet(gmp, gpm, empty, part)
+    return _rate_set(frame, omega, xis, s, len(atoms) if "I" in wedges else 0)
 
 
 def cross_wedge_rates(frame: FrameConfig, atoms_I: Sequence[AtomSpec],
@@ -123,24 +131,10 @@ def cross_wedge_rates(frame: FrameConfig, atoms_I: Sequence[AtomSpec],
         raise DomainError("cross_wedge_rates requires atoms in both wedges")
     if any(a.wedge != "I" for a in atoms_I) or any(a.wedge != "II" for a in atoms_II):
         raise DomainError("wedge labels must match the atom lists")
-    beta = unruh_beta(frame)
-    om1, xi1, s1 = _kinematics_arrays(frame, atoms_I, xi_I)
-    om2, xi2, s2 = _kinematics_arrays(frame, atoms_II, xi_II)
-    gmp1, gpm1 = _normal_channels(frame, om1, xi1, s1, beta)
-    gmp2, gpm2 = _normal_channels(frame, om2, xi2, s2, beta)
-
-    n1, n2 = len(atoms_I), len(atoms_II)
-    gmp = np.zeros((n1 + n2, n1 + n2), dtype=complex)
-    gpm = np.zeros_like(gmp)
-    gmp[:n1, :n1], gmp[n1:, n1:] = gmp1, gmp2
-    gpm[:n1, :n1], gpm[n1:, n1:] = gpm1, gpm2
-
-    nbar1 = np.array([thermal_occupation(beta, w) for w in om1])
-    resonant = np.abs(om1[:, None] - om2[None, :]) < frame.eps_res
-    phase = np.exp(1j * om1[:, None] * (xi1[:, None] - xi2[None, :]))
-    cross = (frame.gamma0 * np.outer(s1, s2)
-             * np.sqrt(nbar1 * (nbar1 + 1.0))[:, None] * resonant * phase)
-    return RateSet(gmp, gpm, cross, (tuple(range(n1)), tuple(range(n1, n1 + n2))))
+    wedges = (_kinematics_arrays(frame, atoms_I, xi_I),
+              _kinematics_arrays(frame, atoms_II, xi_II))
+    omega, xi, s = (np.concatenate(arrays) for arrays in zip(*wedges))
+    return _rate_set(frame, omega, xi, s, len(atoms_I))
 
 
 def thermal_static_rates(beta: float, omegas: Sequence[float], positions: Sequence[float],

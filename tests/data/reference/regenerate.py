@@ -5,12 +5,15 @@
 Runs each shipped preset and writes tests/data/reference/<preset>/: summary.txt
 whole, and of every CSV file its header and every k-th data row plus the last
 (about 40 rows), each prefixed by its data-row index in a leading `row` column.
-nb_grid.csv holds integer counts and is kept whole. Regenerating the reference
-changes a check: record why, and the largest deviation per file.
+nb_grid.csv holds integer counts and is kept whole. It also writes
+tests/data/reference/sha256.txt, one `digest  preset/file` line per full output
+file, which the test session's terminal summary compares against. Regenerating
+the reference changes a check: record why, and the largest deviation per file.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import shutil
 import sys
@@ -32,6 +35,7 @@ def sample(path: Path) -> str:
 
 
 def main() -> int:
+    digests = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in cli.PRESETS:
             out = Path(tmp) / name
@@ -43,6 +47,9 @@ def main() -> int:
             for path in sorted(out.iterdir()):
                 text = sample(path) if path.suffix == ".csv" else path.read_text()
                 (target / path.name).write_text(text, newline="\n")
+                digests.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
+                               f"{name}/{path.name}\n")
+    (HERE / "sha256.txt").write_text("".join(digests), newline="\n")
     return 0
 
 

@@ -296,6 +296,15 @@ def test_wavenumbers_without_a_representable_mode_are_rejected(tmp_path, capsys,
     _assert_one_diagnostic(tmp_path, capsys, text, key)
 
 
+@pytest.mark.parametrize("text", [
+    "scenario = custom\nn_atoms = 2\nwedges = II, banana\n",
+    "scenario = equal_acceleration_sweep\nn_atoms = 2\nsweep_alphas = 2, 4\nwedges = I, II\n"])
+def test_wedges_outside_counter_wedge_are_rejected(tmp_path, capsys, text):
+    # every other dynamics scenario puts all atoms in wedge I, so a wedges
+    # key there would be ignored
+    _assert_one_diagnostic(tmp_path, capsys, f"schema_version = 1\n{text}", "wedges")
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_reference_frequency_is_rejected(tmp_path, capsys, value):
     # the equal and resonant omega rules, and so every mismatch_cases run, read omega_ref

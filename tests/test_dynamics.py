@@ -452,7 +452,11 @@ def test_record_map_matches_oracle_functions():
 def test_blockwise_min_eig_matches_full_eigvalsh():
     rng = np.random.default_rng(41)
     uncovered = []
-    for rho0, h, rs, pairing, pair in _record_map_cases():
+    # and the N = 8 Dicke ladder: 12870 pairs in 9 blocks, row blocks up to 70 x 70
+    frame, eight = FrameConfig(a=2.0), [AtomSpec(omega=1.0, alpha=2.0)] * 8
+    dicke = (all_excited(8), build_hamiltonian(eight, frame), same_wedge_rates(frame, eight),
+             "anomalous", (0, 1))
+    for rho0, h, rs, pairing, pair in [*_record_map_cases(), dicke]:
         sector = LindbladGenerator(h, rs, pairing).sector(rho0)
         record_map = RecordMap(sector, rs.n_atoms, pair)
         rows = np.unique(np.divmod(sector.pairs, sector.dim))
@@ -460,9 +464,11 @@ def test_blockwise_min_eig_matches_full_eigvalsh():
         U = np.array([_random_block_state(sector, rng) for _ in range(4)])
         expected = [np.linalg.eigvalsh(sector.scatter(u)).min() for u in U]
         assert np.abs(record_map.min_eig(U) - expected).max() < 1e-13
+    assert (len(sector.pairs), len(sector.block_swap)) == (12870, 9)
+    assert max(b.shape[-1] for b in sector.row_blocks()) == 70
     # one excitation at zero temperature leaves 4 of the 8 rows of rho empty;
     # the thermal cases reach every row
-    assert uncovered == [0, 0, 0, 0, 4]
+    assert uncovered == [0, 0, 0, 0, 4, 0]
     # the ground state at zero temperature is one pair; its empty rows give the 0
     frame, atoms, rs, h = zero_temp_system(2)
     sector = LindbladGenerator(h, rs).sector(all_ground(2))
@@ -476,6 +482,26 @@ def test_blockwise_min_eig_matches_full_eigvalsh():
                                           for s in ts.states]).max() < 1e-13
     assert np.abs(ts.column("min_eig") - [np.linalg.eigvalsh(s).min()
                                            for s in ts.states]).max() < 1e-13
+
+
+def test_integration_error_counts_the_steps_taken():
+    # every failure names its state by the steps taken to reach it, the state
+    # at time step * dt, whichever check finds it
+    frame, atoms, rs, h = resonant_system(2)
+
+    def failure(t_max, dt):
+        with pytest.raises(IntegrationError) as err:
+            evolve(all_excited(2), h, rs, t_max=t_max, dt=dt, record_every=1000)
+        return err.value
+
+    # the hard check every 100 steps, and the final check of a 99-step run
+    err = failure(1650.0, 5.5)
+    assert err.message.startswith("state eigenvalue") and err.step == 100
+    assert failure(99 * 5.5, 5.5).step == 99
+    # the 8th step drifts in trace; a 7-step run fails its final check first
+    err = failure(1000.0, 10.0)
+    assert err.message.startswith("trace drift") and err.step == 8
+    assert failure(70.0, 10.0).step == 7
 
 
 def test_failure_order_matches_per_record_checks(monkeypatch):

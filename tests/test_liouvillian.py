@@ -10,13 +10,13 @@ from scipy.sparse.csgraph import connected_components
 
 from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig, liouvillian
 from accelatoms.kinematics import unruh_beta
-from accelatoms.liouvillian import (LindbladGenerator, _generator_terms, _ladder_table,
+from accelatoms.liouvillian import (LindbladGenerator, _ladder_table,
                                     build_hamiltonian, build_superoperator,
                                     check_density_matrix, hamiltonian_from_omegas,
                                     lindblad_rhs, steady_state_analysis, thermal_residual,
                                     thermal_state)
 from accelatoms.operators import all_excited, all_ground, sigma_minus, sigma_plus
-from accelatoms.rates import cross_wedge_rates, same_wedge_rates
+from accelatoms.rates import cross_wedge_rates, kossakowski_matrix, same_wedge_rates
 
 
 def resonant_pair(a=2.0):
@@ -305,13 +305,17 @@ def test_generator_terms_are_the_written_master_equation():
             systems.append(same_wedge_rates(frame, atoms))
     assert sum(rs.has_cross and np.any(rs.cross_pp) for rs in systems) >= 5
     for rs in systems:
+        n = rs.n_atoms
         for pairing in ("anomalous", "literal"):
-            terms = _generator_terms(rs, pairing)
+            # K[a, b] [A_a rho, A_b^+], with the operators as (atom, raising)
+            K = kossakowski_matrix(rs, pairing)
+            terms = [(K[a, b], (a % n, a >= n), (b % n, b < n))
+                     for a, b in np.argwhere(K).tolist()]
             as_set = {(complex(c), b, d) for c, b, d in terms}
             assert len(as_set) == len(terms)
             assert as_set == written_master_equation(rs, pairing)
     with pytest.raises(DomainError):
-        _generator_terms(systems[0], "bogus")
+        LindbladGenerator(None, systems[0], "bogus")
 
 
 def basis_image(op):

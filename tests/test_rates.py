@@ -135,6 +135,48 @@ def test_cross_rates_detuned_pair_vanishes():
     assert np.all(rs.cross_pp == 0)
 
 
+def test_cross_rates_keep_each_wedge_and_the_anomalous_block():
+    # wedge sizes 1+2, 2+1 and 3+2, with conformal positions from the
+    # accelerations and overridden; two (omega, alpha) clusters make some
+    # inter-wedge pairs resonant and others not
+    frame = FrameConfig(a=1.5)
+    beta = unruh_beta(frame)
+    rng = np.random.default_rng(17)
+    clusters = [(1.0, 1.5), (1.3, 2.5)]
+    for in_i, in_ii in (((0,), (0, 1)), ((0, 1), (0,)), ((0, 1, 1), (1, 0))):
+        n_i, n_ii = len(in_i), len(in_ii)
+        atoms = [AtomSpec(omega=clusters[c][0], alpha=clusters[c][1], wedge=wedge,
+                          g=float(rng.uniform(0.2, 1.5)))
+                 for cs, wedge in ((in_i, "I"), (in_ii, "II")) for c in cs]
+        wedge_i, wedge_ii = atoms[:n_i], atoms[n_i:]
+        for xi in (None, rng.uniform(-2.0, 2.0, size=n_i + n_ii)):
+            xi_i, xi_ii = (None, None) if xi is None else (xi[:n_i], xi[n_i:])
+            rs = cross_wedge_rates(frame, wedge_i, wedge_ii, xi_I=xi_i, xi_II=xi_ii)
+            assert rs.wedge_partition == (tuple(range(n_i)), tuple(range(n_i, n_i + n_ii)))
+            blocks = ((slice(0, n_i), same_wedge_rates(frame, wedge_i, xi=xi_i)),
+                      (slice(n_i, None), same_wedge_rates(frame, wedge_ii, xi=xi_ii)))
+            for name in ("gamma_minus_plus", "gamma_plus_minus"):
+                mat = getattr(rs, name)
+                for part, alone in blocks:
+                    assert np.array_equal(mat[part, part], getattr(alone, name))
+                assert np.all(mat[:n_i, n_i:] == 0) and np.all(mat[n_i:, :n_i] == 0)
+            # the cross_wedge_rates docstring, atom by atom
+            states = [kinematic_state(frame, at) for at in atoms]
+            positions = [st.xi for st in states] if xi is None else xi
+            expected = np.zeros((n_i, n_ii), dtype=complex)
+            for i in range(n_i):
+                k0, n = states[i].Omega, thermal_occupation(beta, states[i].Omega)
+                for kap in range(n_ii):
+                    other = states[n_i + kap]
+                    if abs(k0 - other.Omega) < frame.eps_res:
+                        expected[i, kap] = (
+                            frame.gamma0 * coupling_weight(frame, atoms[i])
+                            * coupling_weight(frame, atoms[n_i + kap]) * math.sqrt(n * (1 + n))
+                            * np.exp(1j * k0 * (positions[i] - positions[n_i + kap])))
+            assert np.any(expected) and not np.all(expected)
+            assert np.all(np.abs(rs.cross_pp - expected) <= 1e-14 * np.abs(expected))
+
+
 def test_wedge_label_validation():
     frame = FrameConfig(a=1.0)
     mixed = [AtomSpec(omega=1.0, alpha=1.0), AtomSpec(omega=1.0, alpha=1.0, wedge="II")]
