@@ -138,19 +138,26 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
     kinetic term is positive semidefinite, so no eigenvalue lies below the
     potential minimum -V0. Working memory is a few arrays of one value per
     cell.
+
+    Raises DivergenceError unless every closed form fits an int64 and
+    1/(2 M h^2) on the grid spacing h, squared too, is a positive finite float.
     """
     V0, w, M = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (V0, w, M)))
     if not (np.all(V0 > 0) and np.all(w > 0) and np.all(M > 0)):
         raise DomainError("V0, w and M must all be > 0")
-    n_closed = np.floor(2.0 * np.sqrt(V0 * M / (math.pi * w)) - 0.5).astype(int)
-
-    # box wide enough for weakly bound states: decay length 1/kappa with the
-    # shallow-well estimate kappa ~ M * integral(V) = M V0 w sqrt(pi)
-    kappa = M * V0 * w * math.sqrt(math.pi)
-    half_width = np.minimum(np.maximum(15.0 * w, 10.0 / kappa), 2000.0 * w)
-    # the points of np.linspace(-half_width, half_width, grid_points)
-    h = (half_width + half_width) / (grid_points - 1)
-    kin = 1.0 / (2.0 * M * h * h)
+    with np.errstate(over="ignore", divide="ignore"):  # an inf here is refused below
+        estimate = np.floor(2.0 * np.sqrt(V0 * M / (math.pi * w)) - 0.5)
+        # box wide enough for weakly bound states: decay length 1/kappa with the
+        # shallow-well estimate kappa ~ M * integral(V) = M V0 w sqrt(pi)
+        kappa = M * V0 * w * math.sqrt(math.pi)
+        half_width = np.minimum(np.maximum(15.0 * w, 10.0 / kappa), 2000.0 * w)
+        # the points of np.linspace(-half_width, half_width, grid_points)
+        h = (half_width + half_width) / (grid_points - 1)
+        kin = 1.0 / (2.0 * M * h * h)
+        off_sq = kin * kin
+    if not (np.all(estimate < 2.0**63) and np.all((0.0 < off_sq) & (off_sq < math.inf))):
+        raise DivergenceError("bound-state grid outside the float range: a closed-form "
+                              "count beyond int64, or 1/(2 M h^2) over- or underflows")
 
     def diagonals():
         for i in range(grid_points - 1):
@@ -158,7 +165,7 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
             yield -V0 * np.exp(-(x / w) ** 2) + 2.0 * kin
         yield -V0 * np.exp(-(half_width / w) ** 2) + 2.0 * kin
 
-    return n_closed, _negative_pivots(diagonals(), kin * kin)
+    return estimate.astype(int), _negative_pivots(diagonals(), off_sq)
 
 
 def bound_state_count(tweezer: TweezerSpec, grid_points: int = 1501) -> tuple[int, int]:
@@ -304,7 +311,9 @@ def map_to_detector_model(bath: BogoliubovBath, tweezers: Sequence[TweezerSpec],
 
     a = 2.0 * math.pi * bath.T  # beta = 2*pi/a = 1/T
     c_ref = abs(cs[0])
-    gamma0 = c_ref**2
+    gamma0 = c_ref * c_ref  # a float product gives inf where ** would raise
+    if not math.isfinite(gamma0):
+        raise DivergenceError(f"detector rate scale gamma0 = |C_1|^2 = {c_ref:g}^2 overflows")
     weights = [abs(c) / c_ref if c_ref > 0 else 0.0 for c in cs]
     frame = FrameConfig(a=a, eps_res=eps_res, gamma0=gamma0)
     atoms = tuple(AtomSpec(omega=w, alpha=a, wedge="I", g=s)

@@ -307,19 +307,26 @@ def validate(config: ScenarioConfig) -> list[str]:
         diags.extend(exc.diagnostics)
     except ValueError as exc:
         diags.append(f"couplings: {exc}")
+    # mismatch_cases sets each run's omega rule itself (expand_runs)
+    reads_omegas = config.omega_rule == "explicit" and config.scenario != "mismatch_cases"
     if config.omega_rule not in OMEGA_RULES:
         diags.append(f"omega_rule: unknown rule {config.omega_rule!r}")
-    elif config.omega_rule == "explicit":
+    elif reads_omegas:
         if len(config.omegas) != n:
             diags.append(f"omegas: explicit rule needs {n} entries, got {len(config.omegas)}")
         if any(w <= 0 for w in config.omegas):
             diags.append("omegas: all proper frequencies must be > 0")
+    if config.omegas and not reads_omegas:
+        diags.append(f"omegas: {config.scenario} with omega_rule = {config.omega_rule} "
+                     "reads no omegas")
     if config.initial_state not in INITIAL_STATES:
         diags.append(f"initial_state: unknown state {config.initial_state!r}")
     elif config.initial_state == "explicit":
         if len(config.initial_pattern) != n or any(c not in "eg" for c in config.initial_pattern):
             diags.append(f"initial_pattern: need {n} letters over e/g, got "
                          f"{config.initial_pattern!r}")
+    if config.initial_pattern and config.initial_state != "explicit":
+        diags.append("initial_pattern: only initial_state = explicit reads initial_pattern")
     pair = config.concurrence_pair
     if n >= 2:
         if pair[0] == pair[1] or not all(1 <= p <= n for p in pair):

@@ -4,7 +4,7 @@ pairwise concurrence, and the independent correlation-equation oracle."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -34,16 +34,14 @@ class TimeSeries:
     """Recorded trajectory: times, observable rows, optionally retained states.
 
     Columns are (P_1..P_N, P_tot, R_tot, C_coh, C_conc, trace_err, min_eig);
-    C_conc refers to `concurrence_pair`.
+    C_conc refers to the `concurrence_pair` that `evolve` was given.
     """
 
     times: np.ndarray
     columns: tuple[str, ...]
     records: np.ndarray
-    concurrence_pair: tuple[int, int]
     states: list[np.ndarray] | None = None
     max_trace_drift: float = 0.0
-    final_state: np.ndarray = field(default=None, repr=False)
 
     def column(self, name: str) -> np.ndarray:
         try:
@@ -202,7 +200,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
            t_max: float, dt: float = 1e-3, record_every: int = 10,
            retain_states: bool = False, concurrence_pair: tuple[int, int] = (0, 1),
            cross_pairing: str = "anomalous") -> TimeSeries:
-    """Fixed-step RK4 integration of the master equation.
+    """Fixed-step RK4 integration of the master equation, with H the 2^N
+    energies of `build_hamiltonian`, or None for the interaction picture.
 
     The state is kept as the block vector u of the lumped sector of rho0
     (`LindbladGenerator.sector`); a step costs four products with its L_hat.
@@ -326,9 +325,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     snapshot(nsteps, True, u)
     evaluate()
 
-    return TimeSeries(times=np.array(times), columns=columns,
-                      records=np.concatenate(rows), concurrence_pair=pair or (0, 0),
-                      states=states, max_trace_drift=max_drift, final_state=sector.scatter(u))
+    return TimeSeries(times=np.array(times), columns=columns, records=np.concatenate(rows),
+                      states=states, max_trace_drift=max_drift)
 
 
 @lru_cache(maxsize=256)

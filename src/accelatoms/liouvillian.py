@@ -46,8 +46,7 @@ from .kinematics import AtomSpec, FrameConfig, kinematic_state
 from .operators import sigma_minus, sigma_plus
 from .rates import RateSet, kossakowski_matrix
 
-N_MAX_DENSE_DEFAULT = 4
-N_MAX_DENSE_HARD_CAP = 6
+N_MAX_DENSE = 6            # atoms of the Kronecker oracle at most; 4^6 x 4^6 takes 268 MB
 _ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
@@ -56,18 +55,18 @@ _DENSE_BLOCKS = 128        # at most this many columns, a dense product beats CS
 
 
 def hamiltonian_from_omegas(omegas: Sequence[float]) -> np.ndarray:
-    """Diagonal H = sum_j Omega_j sigma_j^+ sigma_j^- in the computational basis."""
+    """H = sum_j Omega_j sigma_j^+ sigma_j^- as its 2^N energies H[b, b], atom j in bit j."""
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
     b = np.arange(2**n)
     diag = np.zeros(2**n)
     for j in range(n):
         diag += omegas[j] * ((b >> j) & 1)
-    return np.diag(diag).astype(complex)
+    return diag
 
 
 def build_hamiltonian(atoms: Sequence[AtomSpec], frame: FrameConfig) -> np.ndarray:
-    """System Hamiltonian of a co-accelerating (single wedge) ensemble."""
+    """System Hamiltonian of a co-accelerating (single wedge) ensemble, as its 2^N energies."""
     if len({atom.wedge for atom in atoms}) > 1:
         raise DomainError("Schroedinger-picture Hamiltonian is only defined for a "
                           "single-wedge configuration")
@@ -105,11 +104,10 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
 
 
 def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
-    """Gibbs state exp(-beta H)/Z (computed in the eigenbasis for stability)."""
-    evals, evecs = np.linalg.eigh(np.asarray(H))
-    w = np.exp(-beta * (evals - evals.min()))
-    w /= w.sum()
-    return (evecs * w) @ evecs.conj().T
+    """Gibbs state exp(-beta H)/Z of the energies H, diagonal; shifted by the
+    lowest energy, so that no weight overflows."""
+    w = np.exp(-beta * (np.asarray(H) - np.min(H)))
+    return np.diag(w / w.sum())
 
 
 def _ladder_table(n: int) -> np.ndarray:
@@ -276,14 +274,9 @@ class LindbladGenerator:
         self.n_atoms = n
         self.dim = dim
         self.rates = rates
-        h = np.zeros(dim)
-        if H is not None:
-            H = np.asarray(H, dtype=complex)
-            if H.shape != (dim, dim):
-                raise DomainError(f"H has shape {H.shape}, expected {(dim, dim)}")
-            h = H.diagonal()
-            if np.any(H - np.diag(h)):
-                raise DomainError("H must be diagonal in the computational basis")
+        h = np.zeros(dim) if H is None else np.asarray(H)
+        if h.shape != (dim,):
+            raise DomainError(f"H has shape {h.shape}, expected its energies, shape {(dim,)}")
 
         # coef [A_a rho, A_b^+] + h.c. = coef A_a rho A_b^+ - coef A_b^+ A_a rho
         #     + coef* A_b rho A_a^+ - coef* rho A_a^+ A_b; the right factor acts on
@@ -404,26 +397,23 @@ def lindblad_rhs(rho: np.ndarray, H: np.ndarray | None, rates: RateSet,
 
 
 def build_superoperator(H: np.ndarray | None, rates: RateSet,
-                        n_max_dense: int = N_MAX_DENSE_DEFAULT,
                         cross_pairing: str = "anomalous") -> np.ndarray:
-    """Dense 4^N x 4^N generator acting on column-stacked density matrices.
+    """Dense 4^N x 4^N generator acting on column-stacked density matrices,
+    for at most N_MAX_DENSE atoms.
 
     Assembled independently of LindbladGenerator's jump table, from the same
-    coefficient table, via Kronecker identities (vec(A rho B) =
-    (B^T kron A) vec(rho)); kept as the test oracle.
+    coefficient table and the dense diagonal H of the energies, via Kronecker
+    identities (vec(A rho B) = (B^T kron A) vec(rho)); kept as the test oracle.
     """
-    if n_max_dense > N_MAX_DENSE_HARD_CAP:
-        raise CapacityError(f"n_max_dense={n_max_dense} exceeds hard cap "
-                            f"{N_MAX_DENSE_HARD_CAP}")
     n = rates.n_atoms
-    if n > n_max_dense:
+    if n > N_MAX_DENSE:
         raise CapacityError(f"dense superoperator for N={n} atoms exceeds the "
-                            f"configured cap N_max_dense={n_max_dense}")
+                            f"cap of {N_MAX_DENSE} atoms")
     dim = 2**n
     eye = np.eye(dim, dtype=complex)
     L = np.zeros((dim * dim, dim * dim), dtype=complex)
     if H is not None:
-        H = np.asarray(H, dtype=complex)
+        H = np.diag(np.asarray(H, dtype=complex))
         L += -1j * (np.kron(eye, H) - np.kron(H.T, eye))
     K = kossakowski_matrix(rates, cross_pairing)
     ops = [sigma_minus(j, n) for j in range(n)] + [sigma_plus(j, n) for j in range(n)]
@@ -440,23 +430,17 @@ def build_superoperator(H: np.ndarray | None, rates: RateSet,
 class SteadyStateAnalysis:
     eigenvalues: np.ndarray
     zero_multiplicity: int
-    steady_basis: np.ndarray  # columns: orthonormal null-space vectors (vec form)
 
 
 def steady_state_analysis(L: np.ndarray, zero_tol: float = 1e-10) -> SteadyStateAnalysis:
-    """Full spectrum of the generator plus the (near-)null subspace.
+    """Full spectrum of the generator, without eigenvectors, and the number of
+    its eigenvalues within zero_tol of 0 (the zero-eigenvalue multiplicity).
 
     zero_tol should scale with the rate magnitudes (1e-9 * gamma0 is the
     contract used by the acceptance suite).
     """
-    evals, evecs = np.linalg.eig(np.asarray(L))
-    null_mask = np.abs(evals) < zero_tol
-    multiplicity = int(null_mask.sum())
-    if multiplicity:
-        basis = np.linalg.qr(evecs[:, null_mask])[0]
-    else:
-        basis = np.zeros((L.shape[0], 0), dtype=complex)
-    return SteadyStateAnalysis(evals, multiplicity, basis)
+    evals = np.linalg.eigvals(np.asarray(L))
+    return SteadyStateAnalysis(evals, int((np.abs(evals) < zero_tol).sum()))
 
 
 def thermal_residual(H: np.ndarray, rates: RateSet, beta: float) -> float:

@@ -22,10 +22,11 @@ from .config import ScenarioConfig, expand_runs, resolve_couplings, resolve_omeg
 from .dynamics import evolve
 from .errors import ConfigError
 from .kinematics import AtomSpec, FrameConfig
-from .liouvillian import (N_MAX_DENSE_DEFAULT, LindbladGenerator, build_hamiltonian,
-                          steady_state_analysis)
+from .liouvillian import LindbladGenerator, build_hamiltonian, steady_state_analysis
 from .operators import product_state
 from .rates import cross_wedge_rates, same_wedge_rates
+
+_SPECTRUM_N_MAX = 4  # atoms at most for the summary's zero multiplicity (blocks to 70 x 70)
 
 
 def fmt(x: float) -> str:
@@ -96,7 +97,7 @@ def execute_run(run: RunSpec):
               ("C_coh_final", series.column("C_coh")[-1]),
               ("C_conc_peak", series.column("C_conc").max()),
               ("max_trace_drift", series.max_trace_drift)]
-    if n <= N_MAX_DENSE_DEFAULT:
+    if n <= _SPECTRUM_N_MAX:
         blocks = LindbladGenerator(H, rates).invariant_blocks()
         items.append(("liouvillian_zero_multiplicity", sum(
             steady_state_analysis(block, zero_tol=1e-9 * run.frame.gamma0).zero_multiplicity

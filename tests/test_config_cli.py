@@ -305,6 +305,35 @@ def test_wedges_outside_counter_wedge_are_rejected(tmp_path, capsys, text):
     _assert_one_diagnostic(tmp_path, capsys, f"schema_version = 1\n{text}", "wedges")
 
 
+@pytest.mark.parametrize("text", [
+    "scenario = mismatch_cases\nomega_rule = explicit\nomegas = 5, 7\n",
+    "scenario = custom\nomega_rule = equal\nomegas = 5, -7\n",
+    "scenario = custom\ninitial_state = all_excited\ninitial_pattern = xyz\n"],
+    ids=["mismatch_cases_omegas", "equal_rule_omegas", "initial_pattern"])
+def test_keys_that_no_run_reads_are_rejected(tmp_path, capsys, text):
+    # mismatch_cases sets each run's omega rule itself, only the explicit rule
+    # reads omegas, and only the explicit initial state reads initial_pattern
+    key = "initial_pattern" if "initial_pattern" in text else "omegas"
+    _assert_one_diagnostic(tmp_path, capsys, f"schema_version = 1\n{text}", key)
+
+
+@pytest.mark.parametrize("key, value", [("tweezer_coupling", "1e200"),
+                                        ("nb_depth_max", "1e300"), ("nb_waist_max", "1e300"),
+                                        ("nb_waist_min", "1e-300")])
+def test_condensate_values_beyond_the_float_range_are_refused(tmp_path, capsys, recwarn,
+                                                              key, value):
+    # |C_1|^2 overflows, or a grid cell's closed-form count leaves int64 or its
+    # kinetic term 1/(2 M h^2) overflows or underflows: an input error, and no
+    # garbage count or numpy warning on the way
+    path = tmp_path / "big.cfg"
+    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(),
+                           flags=re.M))
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_nonpositive_reference_frequency_is_rejected(tmp_path, capsys, value):
     # the equal and resonant omega rules, and so every mismatch_cases run, read omega_ref

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError
+from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError, dynamics
 from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_measure,
                                  concurrence, correlation_oracle, evolve, partial_trace,
                                  population, populations, product_state, total_emission_rate)
@@ -54,9 +54,9 @@ def test_evolve_matches_matrix_exponential():
 def test_evolve_zero_time_returns_initial_state():
     frame, atoms, rs, h = resonant_system(1)
     rho0 = np.diag([0.25, 0.75]).astype(complex)
-    ts = evolve(rho0, h, rs, t_max=0.0)
+    ts = evolve(rho0, h, rs, t_max=0.0, retain_states=True)
     assert len(ts.times) == 1
-    assert np.array_equal(ts.final_state, rho0)
+    assert np.array_equal(ts.states[-1], rho0)
 
 
 def test_evolve_rejects_bad_inputs():
@@ -67,6 +67,16 @@ def test_evolve_rejects_bad_inputs():
         evolve(np.eye(2, dtype=complex), h, rs, t_max=1.0)  # trace 2
     with pytest.raises(DomainError):
         evolve(all_excited(2), h, rs, t_max=1.0)  # wrong dimension
+
+
+def test_generator_and_evolve_take_the_energies_only():
+    # H is the 2^N energies; a dense matrix or a vector of another length is refused
+    frame, atoms, rs, h = resonant_system(2)
+    for bad in (np.diag(h), h[:3], np.append(h, 0.0)):
+        with pytest.raises(DomainError, match=r"expected its energies, shape \(4,\)"):
+            LindbladGenerator(bad, rs)
+        with pytest.raises(DomainError, match=r"expected its energies, shape \(4,\)"):
+            evolve(all_excited(2), bad, rs, t_max=1.0)
 
 
 def test_evolve_flags_divergence_with_step_index():
@@ -233,7 +243,7 @@ def test_picture_invariance_of_coacc_observables():
     for name in ("P_1", "P_2", "P_tot", "C_coh", "C_conc"):
         assert np.abs(with_h.column(name) - without_h.column(name)).max() < 1e-10
     # frame rotation maps one picture to the other state by state
-    diag = np.diag(h)
+    diag = h
     for t, rho_s, rho_i in zip(with_h.times, with_h.states, without_h.states):
         u = np.diag(np.exp(1j * diag * t))
         assert np.abs(u @ rho_s @ u.conj().T - rho_i).max() < 1e-8
@@ -527,3 +537,38 @@ def test_failure_order_matches_per_record_checks(monkeypatch):
         evolve(all_excited(2), h, rs, t_max=1.0, dt=1e-2)
     assert err.value.message == "state became non-finite"
     assert err.value.step == 0
+
+
+def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
+    # with _BATCH_ENTRIES = 1 every snapshot is evaluated as soon as it is
+    # taken; a record's numbers depend on its batch at the rounding level only
+    frame = FrameConfig(a=2.0)
+    six = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    wedge_i = [AtomSpec(omega=1.0, alpha=2.0)] * 2
+    wedge_ii = [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2
+    # fig2's N = 6 sector and the counter wedges, as the benchmark runs them
+    cases = [(all_excited(6), build_hamiltonian(six, frame), same_wedge_rates(frame, six),
+              0.005, 10, (0, 1)),
+             (all_ground(4), None, cross_wedge_rates(frame, wedge_i, wedge_ii), 0.001, 1, (0, 2))]
+
+    def run(rho0, h, rs, dt, record_every, pair):
+        return evolve(rho0, h, rs, t_max=2.0, dt=dt, record_every=record_every,
+                      concurrence_pair=pair)
+
+    batched = [run(*case) for case in cases]
+    monkeypatch.setattr(dynamics, "_BATCH_ENTRIES", 1)
+    for case, whole in zip(cases, batched):
+        alone = run(*case)
+        assert len(alone.times) == (41 if case[4] == 10 else 2001)
+        assert np.array_equal(alone.times, whole.times)
+        assert np.abs(alone.records - whole.records).max() < 1e-13
+    # the failures of the two tests above keep their message and step
+    frame, atoms, rs, h = resonant_system(2)
+    for t_max, dt, record_every, message, step in (
+            (1650.0, 5.5, 1000, "state eigenvalue", 100),
+            (1000.0, 10.0, 1000, "trace drift", 8),
+            (2000.0, 5.0, 7, "state eigenvalue -3.393e-01 below hard floor -1e-06", 7)):
+        with pytest.raises(IntegrationError) as err:
+            evolve(all_excited(2), h, rs, t_max=t_max, dt=dt, record_every=record_every)
+        assert type(err.value) is IntegrationError
+        assert err.value.message.startswith(message) and err.value.step == step

@@ -41,15 +41,15 @@ def unvec(v, dim):
 def test_hamiltonian_single_atom():
     frame = FrameConfig(a=1.0)
     h = build_hamiltonian([AtomSpec(omega=1.0, alpha=1.0)], frame)
-    assert np.array_equal(h, np.diag([0.0, 1.0]))
+    assert np.array_equal(h, [0.0, 1.0])
 
 
 def test_hamiltonian_subset_sums_and_bit_order():
     h = hamiltonian_from_omegas([1.0, 0.5])
-    assert sorted(np.diag(h).real) == pytest.approx([0.0, 0.5, 1.0, 1.5])
+    assert sorted(h) == pytest.approx([0.0, 0.5, 1.0, 1.5])
     # atom 0 lives in the least significant bit
-    assert h[1, 1].real == pytest.approx(1.0)
-    assert h[2, 2].real == pytest.approx(0.5)
+    assert h[1] == pytest.approx(1.0)
+    assert h[2] == pytest.approx(0.5)
     assert np.all(hamiltonian_from_omegas([0.0, 0.0]) == 0)
 
 
@@ -198,7 +198,6 @@ def test_spectrum_properties_and_degeneracy():
     L = build_superoperator(h, rs)
     analysis = steady_state_analysis(L, zero_tol=1e-9 * frame.gamma0)
     assert analysis.zero_multiplicity >= 2
-    assert analysis.steady_basis.shape[1] == analysis.zero_multiplicity
     evals = analysis.eigenvalues
     assert evals.real.max() <= 1e-10 * frame.gamma0
     # closed under conjugation
@@ -235,16 +234,13 @@ def test_semigroup_positivity():
 
 def test_capacity_limits():
     frame = FrameConfig(a=2.0)
-    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 5
-    rs = same_wedge_rates(frame, atoms)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 7
     with pytest.raises(CapacityError):
-        build_superoperator(build_hamiltonian(atoms, frame), rs)
-    with pytest.raises(CapacityError):
-        build_superoperator(None, rs, n_max_dense=7)
-    # raising the cap within the hard limit works
+        build_superoperator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    # within the cap of six atoms the oracle builds
     atoms5 = [AtomSpec(omega=1.0, alpha=2.0)] * 5
     rs5 = same_wedge_rates(frame, atoms5)
-    L = build_superoperator(build_hamiltonian(atoms5, frame), rs5, n_max_dense=5)
+    L = build_superoperator(build_hamiltonian(atoms5, frame), rs5)
     assert L.shape == (1024, 1024)
 
 
