@@ -121,26 +121,13 @@ def _negative_pivots(diagonals, off_sq: np.ndarray) -> np.ndarray:
     return count
 
 
-def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, np.ndarray]:
-    """Number of tweezer bound states for arrays of (V0, w, M) cells:
-    (closed-form estimate, numeric count), two int arrays of the broadcast shape.
-
-    The WKB-style closed form floor(2*sqrt(V0*M/(pi*w)) - 1/2), taken as given
-    in natural units despite its odd dimensional structure, ships next to an
-    independent numeric count which is the authoritative one. Disagreements
-    are for the caller to report, not to reconcile silently.
-
-    The numeric count is the number of negative eigenvalues of each cell's
-    finite-difference Hamiltonian -1/(2M) d^2/dx^2 - V0 exp(-(x/w)^2) on
-    `grid_points` points of its own box, found as the negative pivots of one
-    LDL^T recurrence run over the grid indices for all cells together.
-    Counting every eigenvalue below 0 is counting those in (-2 V0, 0): the
-    kinetic term is positive semidefinite, so no eigenvalue lies below the
-    potential minimum -V0. Working memory is a few arrays of one value per
-    cell.
+def bound_state_grid(V0, w, M, grid_points: int = 1501):
+    """The finite-difference grid that `bound_state_counts` reads for arrays
+    of (V0, w, M) cells, broadcast: (V0, w, closed-form count, half box width,
+    spacing h, kinetic term 1/(2 M h^2)), one value per cell each.
 
     Raises DivergenceError unless every closed form fits an int64 and
-    1/(2 M h^2) on the grid spacing h, squared too, is a positive finite float.
+    1/(2 M h^2), squared too, is a positive finite float.
     """
     V0, w, M = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (V0, w, M)))
     if not (np.all(V0 > 0) and np.all(w > 0) and np.all(M > 0)):
@@ -158,6 +145,28 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
     if not (np.all(estimate < 2.0**63) and np.all((0.0 < off_sq) & (off_sq < math.inf))):
         raise DivergenceError("bound-state grid outside the float range: a closed-form "
                               "count beyond int64, or 1/(2 M h^2) over- or underflows")
+    return V0, w, estimate, half_width, h, kin
+
+
+def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, np.ndarray]:
+    """Number of tweezer bound states for arrays of (V0, w, M) cells:
+    (closed-form estimate, numeric count), two int arrays of the broadcast shape.
+
+    The WKB-style closed form floor(2*sqrt(V0*M/(pi*w)) - 1/2), taken as given
+    in natural units despite its odd dimensional structure, ships next to an
+    independent numeric count which is the authoritative one. Disagreements
+    are for the caller to report, not to reconcile silently.
+
+    The numeric count is the number of negative eigenvalues of each cell's
+    finite-difference Hamiltonian -1/(2M) d^2/dx^2 - V0 exp(-(x/w)^2) on
+    `grid_points` points of its own box, found as the negative pivots of one
+    LDL^T recurrence run over the grid indices for all cells together.
+    Counting every eigenvalue below 0 is counting those in (-2 V0, 0): the
+    kinetic term is positive semidefinite, so no eigenvalue lies below the
+    potential minimum -V0. Working memory is a few arrays of one value per
+    cell. The grid's float range is checked first (`bound_state_grid`).
+    """
+    V0, w, estimate, half_width, h, kin = bound_state_grid(V0, w, M, grid_points)
 
     def diagonals():
         for i in range(grid_points - 1):
@@ -165,7 +174,7 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
             yield -V0 * np.exp(-(x / w) ** 2) + 2.0 * kin
         yield -V0 * np.exp(-(half_width / w) ** 2) + 2.0 * kin
 
-    return estimate.astype(int), _negative_pivots(diagonals(), off_sq)
+    return estimate.astype(int), _negative_pivots(diagonals(), kin * kin)
 
 
 def bound_state_count(tweezer: TweezerSpec, grid_points: int = 1501) -> tuple[int, int]:

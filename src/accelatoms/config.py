@@ -11,8 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .bec import dispersion, two_level_window
-from .errors import ConfigError, DivergenceError
+import numpy as np
+
+from .bec import (BogoliubovBath, TweezerSpec, bound_state_grid, dispersion,
+                  map_to_detector_model, two_level_window, variational_width)
+from .dynamics import check_step
+from .errors import ConfigError, DivergenceError, DomainError, NoRootError
+from .kinematics import AtomSpec, FrameConfig
+from .liouvillian import build_hamiltonian
+from .rates import cross_wedge_rates, same_wedge_rates
 
 SCHEMA_VERSION = 1
 # The largest sector at N = 10 holds C(20, 10) = 184756 density-matrix pairs;
@@ -186,37 +193,117 @@ def resolve_couplings(config: ScenarioConfig) -> list[float]:
     return vals
 
 
-def resolve_omegas(config: ScenarioConfig, alphas: list[float], rule: str) -> list[float]:
-    """Proper frequencies under the omega rule `rule`; atom 1 is the reference."""
-    if rule == "equal":
-        return [config.omega_ref] * config.n_atoms
-    if rule == "resonant":
-        # proper frequencies chosen so every red-shifted frequency equals omega_ref
-        return [config.omega_ref * alpha / alphas[0] for alpha in alphas]
-    return list(config.omegas)
+@dataclass(frozen=True)
+class RunSpec:
+    """One run of a dynamics scenario; it writes its time series to <label>.csv."""
+    label: str
+    frame: FrameConfig
+    atoms: tuple[AtomSpec, ...]
+    initial: str  # per-atom 'e'/'g' letters
+    t_max: float
+    dt: float
+    record_every: int
+    pair: tuple[int, int] | None
+
+    def master_equation(self):
+        """(H, rates): the energies and the wedge-I rates, or for counter-accelerating
+        atoms H = None (the interaction picture) and the cross-wedge rates."""
+        n_i = sum(1 for a in self.atoms if a.wedge == "I")
+        if n_i < len(self.atoms):
+            return None, cross_wedge_rates(self.frame, self.atoms[:n_i], self.atoms[n_i:])
+        return build_hamiltonian(self.atoms, self.frame), same_wedge_rates(self.frame, self.atoms)
 
 
-def expand_runs(config: ScenarioConfig) -> list[tuple[str, list[float], str, list[str]]]:
-    """(label, alphas, omega rule, wedges) of each run of a dynamics scenario,
-    in run order; a run writes its time series to <label>.csv."""
+def expand_runs(config: ScenarioConfig) -> list[RunSpec]:
+    """The runs of a dynamics scenario that passes `validate`'s text checks, in
+    run order; atom 1 is the reference of each run's frame and omega rule."""
     n = config.n_atoms
+    pair = None if n < 2 else (config.concurrence_pair[0] - 1, config.concurrence_pair[1] - 1)
+    initial = (config.initial_pattern if config.initial_state == "explicit"
+               else ("e" if config.initial_state == "all_excited" else "g") * n)
+    couplings = resolve_couplings(config)
+
+    def run(label, alphas, rule=config.omega_rule, wedges=("I",) * n):
+        # the resonant rule gives every atom the red-shifted frequency omega_ref
+        omegas = {"equal": [config.omega_ref] * n, "explicit": config.omegas,
+                  "resonant": [config.omega_ref * alpha / alphas[0] for alpha in alphas]}[rule]
+        atoms = tuple(AtomSpec(omega=w, alpha=al, wedge=wd, g=c)
+                      for w, al, wd, c in zip(omegas, alphas, wedges, couplings))
+        frame = FrameConfig(a=alphas[0], eps_res=config.eps_res, gamma0=config.gamma0)
+        return RunSpec(label, frame, atoms, initial, config.t_max, config.dt,
+                       config.record_every, pair)
+
     if config.scenario == "equal_acceleration_sweep":
-        return [(f"alpha_{a:g}".replace(".", "p"), [a] * n, config.omega_rule, ["I"] * n)
-                for a in config.sweep_alphas]
+        return [run(f"alpha_{a:g}".replace(".", "p"), [a] * n) for a in config.sweep_alphas]
     if config.scenario == "mismatch_cases":
         def ramp(step):
             return [config.alpha_base + step * j for j in range(n)]
-        return [("case_a", [config.alpha_equal] * n, "equal", ["I"] * n),
-                ("case_b", ramp(config.delta_equal_omega), "equal", ["I"] * n),
-                *((f"case_c_dalpha_{d:g}".replace(".", "p"), ramp(d), "resonant", ["I"] * n)
+        return [run("case_a", [config.alpha_equal] * n, "equal"),
+                run("case_b", ramp(config.delta_equal_omega), "equal"),
+                *(run(f"case_c_dalpha_{d:g}".replace(".", "p"), ramp(d), "resonant")
                   for d in config.deltas_resonant)]
     if config.scenario == "counter_wedge":
-        return [("counter", resolve_alphas(config), config.omega_rule, list(config.wedges))]
-    return [("run", resolve_alphas(config), config.omega_rule, ["I"] * n)]
+        return [run("counter", resolve_alphas(config), wedges=config.wedges)]
+    return [run("run", resolve_alphas(config))]
+
+
+@dataclass(frozen=True)
+class DesignSpec:
+    """The condensate design of a bec_design scenario: its bath, mode
+    wavenumbers, window-sweep waists, listed tweezers, resonance tolerance and
+    the (depth, waist) cells of its bound-state grid."""
+    bath: BogoliubovBath
+    ks: np.ndarray
+    sweep_waists: np.ndarray
+    tweezers: tuple[TweezerSpec, ...]
+    eps_res: float
+    cell_depths: np.ndarray
+    cell_waists: np.ndarray
+
+
+def expand_design(config: ScenarioConfig) -> DesignSpec:
+    """The design of a bec_design scenario that passes `validate`'s text checks."""
+    bath = BogoliubovBath(m=config.bec_m, mu=config.bec_mu, n0=config.bec_n0,
+                          L=config.bec_length, u0=config.bec_u0, T=config.bec_temperature)
+    v0, mass, g = config.tweezer_depth, config.tweezer_mass, config.tweezer_coupling
+    w_lo, w_hi = two_level_window(v0, mass)
+    margin = 1e-6 * (w_hi - w_lo)
+    k_unit = math.sqrt(bath.m * bath.mu)
+    points = config.nb_grid_points
+    depths = np.linspace(config.nb_depth_min, config.nb_depth_max, points)
+    waists = np.linspace(config.nb_waist_min, config.nb_waist_max, points)
+    return DesignSpec(
+        bath=bath, eps_res=config.eps_res,
+        ks=np.geomspace(config.k_min, config.k_max, config.k_points) * k_unit,
+        sweep_waists=np.linspace(w_lo + margin, w_hi - margin, config.waist_points),
+        tweezers=tuple(TweezerSpec(V0=v0, w=w, M=mass, x=x, g=g)
+                       for w, x in zip(config.tweezer_waists, config.tweezer_positions)),
+        cell_depths=np.repeat(depths, points), cell_waists=np.tile(waists, points))
+
+
+def _design_diagnostics(design: DesignSpec) -> list[str]:
+    """What a bec_design run refuses before it writes: a variational width with
+    no root in the window sweep (its condition is monotone in the waist, so the
+    end waists decide), the detector mapping, and a grid beyond the float range."""
+    diags = []
+    tw = design.tweezers[0]
+    try:
+        for w in design.sweep_waists[[0, -1]]:
+            variational_width(TweezerSpec(V0=tw.V0, w=w, M=tw.M, g=tw.g))
+        map_to_detector_model(design.bath, design.tweezers, eps_res=design.eps_res)
+    except (ConfigError, DomainError, NoRootError) as exc:
+        diags.append(f"tweezers: {exc}")
+    try:
+        bound_state_grid(design.cell_depths, design.cell_waists, tw.M)
+    except DomainError as exc:
+        diags.append(f"nb_grid: {exc}")
+    return diags
 
 
 def validate(config: ScenarioConfig) -> list[str]:
-    """All semantic violations, without running anything. Empty means runnable."""
+    """All semantic violations; empty means runnable. Once the text checks pass,
+    each run is built as `run` builds it and its step checked (`check_step`),
+    or the condensate design is built and mapped (`_design_diagnostics`)."""
     diags: list[str] = []
     n = config.n_atoms
     if config.scenario not in SCENARIOS:
@@ -263,7 +350,7 @@ def validate(config: ScenarioConfig) -> list[str]:
             diags.append("nb_depth_min/nb_depth_max: need 0 < min < max")
         if not 0 < config.nb_waist_min < config.nb_waist_max:
             diags.append("nb_waist_min/nb_waist_max: need 0 < min < max")
-        return diags
+        return diags or _design_diagnostics(expand_design(config))
 
     if n < 1:
         diags.append("n_atoms: must be >= 1")
@@ -358,13 +445,18 @@ def validate(config: ScenarioConfig) -> list[str]:
             diags.append("delta_equal_omega: must be > 0")
         if not config.deltas_resonant or any(d <= 0 for d in config.deltas_resonant):
             diags.append("deltas_resonant: need positive mismatch values")
-    # labels keep 6 significant digits; two runs with one label would write one
-    # file. Only the multi-run scenarios can collide; expanding the others would
-    # report a malformed alphas twice.
-    key = {"equal_acceleration_sweep": "sweep_alphas",
-           "mismatch_cases": "deltas_resonant"}.get(config.scenario)
-    labels = [run[0] for run in expand_runs(config)] if key else []
+    if diags:
+        return diags
+    runs = expand_runs(config)
+    # labels keep 6 significant digits; two runs with one label would write one file
+    key = "sweep_alphas" if config.scenario == "equal_acceleration_sweep" else "deltas_resonant"
+    labels = [run.label for run in runs]
     for label in sorted({label for label in labels if labels.count(label) > 1}):
         diags.append(f"{key}: two values give the run label {label!r}; "
                      "each run needs its own label")
+    for run in runs:
+        try:
+            check_step(*run.master_equation(), run.dt)
+        except DomainError as exc:
+            diags.append(f"run {run.label}: {exc}")
     return diags

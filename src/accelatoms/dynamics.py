@@ -12,10 +12,10 @@ import numpy as np
 from .errors import DomainError, IntegrationError
 from .liouvillian import LindbladGenerator, Sector, check_density_matrix
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
-from .rates import RateSet
+from .rates import RateSet, kossakowski_matrix
 
 __all__ = [
-    "TimeSeries", "evolve", "population", "populations", "total_emission_rate",
+    "TimeSeries", "check_step", "evolve", "population", "populations", "total_emission_rate",
     "coherence_measure", "partial_trace", "concurrence", "correlation_oracle",
     "heisenberg_correlation_rhs", "all_excited", "all_ground", "product_state",
 ]
@@ -26,7 +26,7 @@ _EIG_HARD = -1e-6
 _CHECK_EVERY = 100  # steps between hard checks, and between evaluations of the snapshots
 _POP_FLOOR = -1e-9
 _BATCH_ENTRIES = 1 << 20  # evaluate sooner when the snapshots hold this many entries
-_STEP_ENTRY_MAX = 1e308  # bound on a step's entries from which evolve refuses to step
+_STEP_ENTRY_MAX = 1e308  # bound on a step's entries from which check_step refuses it
 
 
 @dataclass
@@ -56,10 +56,7 @@ def population(rho: np.ndarray, j: int) -> float:
     if not 0 <= j < n:
         raise DomainError(f"atom index {j} out of range for {n} atoms")
     mask = (np.arange(2**n) >> j) & 1
-    return _checked_population(float(rho.diagonal().real @ mask), j)
-
-
-def _checked_population(p: float, j: int) -> float:
+    p = float(rho.diagonal().real @ mask)
     if p < _POP_FLOOR:
         raise DomainError(f"population of atom {j} is {p:.3e} < -1e-9")
     return max(p, 0.0)
@@ -196,6 +193,29 @@ class RecordMap:
                        for idx in self.blocks], axis=0)
 
 
+def check_step(H: np.ndarray | None, rates: RateSet, dt: float,
+               cross_pairing: str = "anomalous") -> None:
+    """Raise DomainError if an RK4 step of dt on the generator of (H, rates)
+    may form an entry of 1e308 or more (float64 ends at 1.8e308), on any sector.
+
+    Each term piece A rho B is a partial injection on the pairs, so
+    ||L||_inf <= M = 2 max|h| + 4 sum_ab |K_ab|; lumping sums columns, so
+    ||L_hat||_inf <= M. The step is w <- u + c L_hat w for c = dt/4, dt/3,
+    dt/2, dt (RK4 of a constant L in Horner form); with |u_i| <= 1 the max
+    norms |L_hat w| <= M |w| and |w| <= 1 + c M |w| bound every entry formed."""
+    with np.errstate(over="ignore"):  # an inf bound is refused below
+        row_sum = (2.0 * (0.0 if H is None else float(np.abs(H).max()))
+                   + 4.0 * float(np.abs(kossakowski_matrix(rates, cross_pairing)).sum()))
+    bound = peak = 1.0
+    for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt):
+        product = row_sum * bound
+        bound = 1.0 + c * product
+        peak = max(peak, product, bound)
+    if peak >= _STEP_ENTRY_MAX:
+        raise DomainError(f"an RK4 step of dt = {dt:.3e} on row sums up to {row_sum:.3e} may "
+                          f"form entries up to {peak:.3e} >= 1e308: it would overflow")
+
+
 def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
            t_max: float, dt: float = 1e-3, record_every: int = 10,
            retain_states: bool = False, concurrence_pair: tuple[int, int] = (0, 1),
@@ -211,9 +231,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     hard-checked every 100 steps. Both are snapshots of u, evaluated together
     through a `RecordMap` every 100 steps, at the end and before a trace-drift
     error. The earliest failing snapshot raises as a check at its own step
-    would have: IntegrationError for a non-finite state, a trace error or an
-    eigenvalue below the floor, then DomainError for a negative population or
-    an invalid reduced pair state.
+    would have: IntegrationError, naming the step, for a non-finite state, a
+    trace error, an eigenvalue below the floor, a negative population or an
+    invalid reduced pair state, in that order.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
@@ -232,25 +252,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
             raise DomainError(f"concurrence_pair {pair} invalid for {n} atoms")
     else:
         pair = None
+    check_step(H, rates, dt, cross_pairing)
+    horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)  # RK4 in Horner form (check_step)
     sector = gen.sector(rho)
-    # For a constant linear L the four RK4 stages combine to the degree-4
-    # Taylor polynomial of exp(dt L); it is evaluated in Horner form,
-    # u + dt L (u + dt/2 L (u + dt/3 L (u + dt/4 L u))), as w <- u + c L_hat w.
-    # With |u_i| <= 1 and M = ||L_hat||_inf, |L_hat w| <= M |w| and
-    # |w| <= 1 + c M |w| (max norms) bound every entry a step forms. From a
-    # bound of 1e308, under the float64 limit 1.8e308, the first step can
-    # overflow, so the input is refused before stepping
-    row_sum = float(abs(sector.L_hat).sum(axis=1).max())
-    horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)
-    bound = peak = 1.0
-    for c in horner:
-        product = row_sum * bound
-        bound = 1.0 + c * product
-        peak = max(peak, product, bound)
-    if peak >= _STEP_ENTRY_MAX:
-        raise DomainError(f"an RK4 step of dt = {dt:.3e} on a generator with largest absolute "
-                          f"row sum {row_sum:.3e} may form entries up to {peak:.3e}, at or "
-                          f"above {_STEP_ENTRY_MAX:.0e}: it would overflow")
     u = sector.gather(rho)
     record_map = RecordMap(sector, n, pair)
 
@@ -282,8 +286,17 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
                | (is_record[:ok] & (pops < _POP_FLOOR).any(axis=1)))
         first = int(bad.argmax()) if bad.any() else ok
         rec = np.flatnonzero(is_record[:first])
-        # raises for the earliest invalid reduced state, all before `first`
-        conc = concurrence(rho2[rec]) if pair else np.zeros(len(rec))
+        try:
+            conc = concurrence(rho2[rec]) if pair else np.zeros(len(rec))
+        except DomainError:
+            # the earliest invalid reduced state, all before `first`, one at a time for its step
+            for i in rec:
+                try:
+                    concurrence(rho2[i])
+                except DomainError as exc:
+                    raise IntegrationError(f"reduced pair state: {exc}",
+                                           step=int(steps[i])) from None
+            raise
         if first < len(steps):
             step = int(steps[first])
             if first == ok:
@@ -294,8 +307,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
             if min_eig[first] < _EIG_HARD:
                 raise IntegrationError(f"state eigenvalue {min_eig[first]:.3e} below hard "
                                        f"floor {_EIG_HARD}", step=step)
-            for j, value in enumerate(pops[first]):
-                _checked_population(value, j)
+            j = int((pops[first] < _POP_FLOOR).argmax())
+            raise IntegrationError(f"population of atom {j} is {pops[first, j]:.3e} < -1e-9",
+                                   step=step)
         p = np.maximum(pops[rec], 0.0)
         times.extend(steps[rec] * dt)
         rows.append(np.column_stack([p, p.sum(axis=1), r_tot[rec],

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import re
@@ -12,12 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from accelatoms import CapacityError, ConfigError, DomainError, NoRootError
+from accelatoms import CapacityError, ConfigError, DomainError, FrameConfig, NoRootError
 from accelatoms import cli, runner
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
-                               SCENARIOS, ScenarioConfig, expand_runs, parse_config,
-                               validate)
+                               SCENARIOS, RunSpec, ScenarioConfig, expand_runs,
+                               parse_config, validate)
 from accelatoms.runner import fmt, run_scenario, write_csv
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 
 GOOD = """\
 schema_version = 1
@@ -169,26 +172,34 @@ def test_cli_integration_failure_exit_code(tmp_path):
 
 
 def test_cli_rejects_a_step_that_would_overflow(tmp_path, capsys, recwarn):
-    # omega_ref = 1e-300 makes the rates about 1e299: dt * ||L_hat||_inf ~ 4e296;
-    # at 4e-81, dt * ||L_hat||_inf ~ 9.5e76, but the product L_hat @ w that a
-    # step forms before its factor dt reaches about 1e80 * (9.5e76)^3
+    # omega_ref = 1e-300 makes the rates about 1e299, and at 4e-81 the product
+    # L_hat @ w that a step forms before its factor dt reaches about
+    # 1e80 * (9.5e76)^3; validate's dry run refuses both, as evolve would
     for omega_ref in ("1e-300", "4e-81"):
-        cfg = tmp_path / "tiny.cfg"
-        cfg.write_text(f"schema_version = 1\nomega_ref = {omega_ref}\n")
-        assert cli.main(["run", str(cfg), "--out", str(tmp_path / "t")]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("input error:")
-        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+        _assert_one_diagnostic(tmp_path, capsys,
+                               f"schema_version = 1\nomega_ref = {omega_ref}\n", "run run")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_rejects_a_subnormal_reference_frequency(tmp_path, capsys, recwarn):
     # omega_ref = 1e-320 makes the thermal occupation 1/expm1(beta omega) overflow
-    cfg = tmp_path / "subnormal.cfg"
-    cfg.write_text("schema_version = 1\nomega_ref = 1e-320\n")
-    assert cli.main(["run", str(cfg), "--out", str(tmp_path / "s")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:")
+    _assert_one_diagnostic(tmp_path, capsys, "schema_version = 1\nomega_ref = 1e-320\n",
+                           "run run")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_numerical_breakdown_mid_run_exits_3_with_its_step(tmp_path, capsys):
+    # the full state passes the -1e-6 hard floor while a reduced pair state
+    # dips below concurrence's -1e-9 floor: an integration failure at a step
+    path = tmp_path / "breakdown.cfg"
+    path.write_text("schema_version = 1\nscenario = custom\nn_atoms = 3\ngamma0 = 3\n"
+                    "alphas = mismatch: 0.5, 0.366\nomega_rule = resonant\n"
+                    "initial_state = all_ground\nt_max = 20\ndt = 0.2\nrecord_every = 1\n")
+    assert cli.main(["validate", str(path)]) == 0
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["integration failure: reduced pair state: density matrix has eigenvalue "
+                   "-2.649e-08 below -1e-09 (step 1)"]
 
 
 def test_write_csv_rows_match_fmt(tmp_path):
@@ -323,15 +334,22 @@ def test_keys_that_no_run_reads_are_rejected(tmp_path, capsys, text):
 def test_condensate_values_beyond_the_float_range_are_refused(tmp_path, capsys, recwarn,
                                                               key, value):
     # |C_1|^2 overflows, or a grid cell's closed-form count leaves int64 or its
-    # kinetic term 1/(2 M h^2) overflows or underflows: an input error, and no
-    # garbage count or numpy warning on the way
-    path = tmp_path / "big.cfg"
-    path.write_text(re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(),
-                           flags=re.M))
-    assert cli.main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("input error:")
+    # kinetic term 1/(2 M h^2) overflows or underflows: validate's dry run
+    # refuses it, with no garbage count or numpy warning on the way
+    text = re.sub(rf"^{key} = .*$", f"{key} = {value}", _small_bec_design(), flags=re.M)
+    _assert_one_diagnostic(tmp_path, capsys, text,
+                           "tweezers" if key == "tweezer_coupling" else "nb_grid")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_window_sweep_without_a_variational_width_is_rejected(tmp_path, capsys):
+    # both listed waists have a variational width, but the window sweep's
+    # upper waists (to 1165) do not: (V0 M w^2)^2 grows with the waist
+    text = _small_bec_design()
+    for key, value in (("tweezer_depth", "1.2e6"), ("tweezer_waists", "720, 730")):
+        text = re.sub(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    _assert_one_diagnostic(tmp_path, capsys, text, "tweezers")
+    assert "no variational-width root" in validate(parse_config(text))[0]
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -351,17 +369,45 @@ def test_condensate_inputs_the_detector_mapping_refuses_are_rejected(tmp_path, c
     _assert_one_diagnostic(tmp_path, capsys, f"{text}{key} = {value}\n", key)
 
 
+def _ramp(step):
+    return [0.2 + step * j for j in range(6)]
+
+
 @pytest.mark.parametrize("preset, expected", [
-    ("fig2", [(f"alpha_{a}", [float(a)] * 6, "equal", ["I"] * 6) for a in (2, 4, 6, 8, 10)]),
-    ("fig4", [("case_a", [2.0] * 6, "equal", ["I"] * 6),
-              ("case_b", [0.2 + 0.6 * j for j in range(6)], "equal", ["I"] * 6),
-              ("case_c_dalpha_0p6", [0.2 + 0.6 * j for j in range(6)], "resonant", ["I"] * 6),
-              ("case_c_dalpha_0p03", [0.2 + 0.03 * j for j in range(6)], "resonant",
-               ["I"] * 6)]),
-    ("counter", [("counter", [2.0, 2.0], "equal", ["I", "II"])]),
+    ("fig2", [(f"alpha_{a}", [float(a)] * 6, [1.0] * 6, ("I",) * 6) for a in (2, 4, 6, 8, 10)]),
+    ("fig4", [("case_a", [2.0] * 6, [1.0] * 6, ("I",) * 6),
+              ("case_b", _ramp(0.6), [1.0] * 6, ("I",) * 6),
+              # resonant: every red-shifted frequency (a / alpha_j) omega_j is omega_ref
+              ("case_c_dalpha_0p6", _ramp(0.6), [a / 0.2 for a in _ramp(0.6)], ("I",) * 6),
+              ("case_c_dalpha_0p03", _ramp(0.03), [a / 0.2 for a in _ramp(0.03)],
+               ("I",) * 6)]),
+    ("counter", [("counter", [2.0, 2.0], [1.0, 1.0], ("I", "II"))]),
 ])
 def test_expand_runs_pairs_each_label_with_its_physics(preset, expected):
-    assert expand_runs(parse_config(cli._preset_text(preset))) == expected
+    runs = expand_runs(parse_config(cli._preset_text(preset)))
+    assert [(run.label, [atom.alpha for atom in run.atoms], [atom.omega for atom in run.atoms],
+             tuple(atom.wedge for atom in run.atoms)) for run in runs] == expected
+    dt, initial = (0.001, "gg") if preset == "counter" else (0.005, "e" * 6)
+    for run in runs:
+        assert isinstance(run, RunSpec)
+        assert run.frame == FrameConfig(a=run.atoms[0].alpha, eps_res=1e-6, gamma0=0.1)
+        assert [atom.g for atom in run.atoms] == [1.0] * len(run.atoms)
+        assert (run.initial, run.t_max, run.dt, run.record_every, run.pair) == (
+            initial, 20.0, dt, 10, (0, 1))
+
+
+def test_shipped_and_benchmarked_configs_pass_validate():
+    # the a-priori step bound and the dry runs refuse nothing that the presets
+    # or the benchmark workloads (read from perfbench, not edited) run
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    texts = [cli._preset_text(name) for name in cli.PRESETS]
+    texts += [workloads.config_text(name, workloads.params(name, seed))
+              for name in workloads.WORKLOADS for seed in range(4)]
+    assert len(texts) == 16
+    for text in texts:
+        assert validate(parse_config(text)) == []
 
 
 def test_bec_design_runs_far_above_the_healing_scale(tmp_path):
@@ -539,8 +585,10 @@ def test_random_config_text_exits_0_2_or_3(entries):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "random.cfg"
         path.write_text(text)
-        assert cli.main(["validate", str(path)]) in (0, 2)
-        assert cli.main(["run", str(path), "--out", str(Path(tmp) / "out")]) in (0, 2, 3)
+        validated = cli.main(["validate", str(path)])
+        ran = cli.main(["run", str(path), "--out", str(Path(tmp) / "out")])
+        assert validated in (0, 2) and ran in (0, 2, 3)
+        assert (validated == 2) == (ran == 2)  # validate says what run will say
 
 
 def test_validate_caps_step_count(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -516,7 +517,7 @@ def test_integration_error_counts_the_steps_taken():
 
 def test_failure_order_matches_per_record_checks(monkeypatch):
     # the record at step 7 fails its hard check; the batch evaluation must not
-    # report a later record's invalid reduced state (a DomainError) instead
+    # report a later record's invalid reduced state, with its message and step, instead
     frame, atoms, rs, h = resonant_system(2)
     with pytest.raises(IntegrationError) as err:
         evolve(all_excited(2), h, rs, t_max=2000.0, dt=5.0, record_every=7)
@@ -572,3 +573,73 @@ def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
             evolve(all_excited(2), h, rs, t_max=t_max, dt=dt, record_every=record_every)
         assert type(err.value) is IntegrationError
         assert err.value.message.startswith(message) and err.value.step == step
+
+
+def test_step_bound_dominates_every_sector_generator():
+    # check_step bounds ||L_hat||_inf by 2 max|h| + 4 sum_ab |K_ab| before any
+    # sector is built; the bound must hold for L on all pairs and on the
+    # lumped sectors of product states, both pairings
+    rng = np.random.default_rng(11)
+    for trial in range(24):
+        n = 1 + trial % 4
+        a = float(rng.uniform(0.3, 10.0))
+        frame = FrameConfig(a=a, gamma0=float(rng.uniform(0.01, 3.0)))
+        atoms = [AtomSpec(omega=float(rng.uniform(0.5, 2.0)),
+                          alpha=float(rng.choice([a, rng.uniform(0.5 * a, 3.0 * a)])),
+                          g=float(rng.uniform(0.2, 1.5))) for _ in range(n)]
+        if n >= 2 and trial % 3 == 0:
+            wedge_ii = [AtomSpec(omega=at.omega, alpha=at.alpha, wedge="II", g=at.g)
+                        for at in atoms[n // 2:]]
+            rates, h = cross_wedge_rates(frame, atoms[:n // 2], wedge_ii), None
+        else:
+            rates, h = same_wedge_rates(frame, atoms), build_hamiltonian(atoms, frame)
+        for pairing in ("anomalous", "literal"):
+            gen = LindbladGenerator(h, rates, pairing)
+            bound = (2.0 * (0.0 if h is None else np.abs(h).max())
+                     + 4.0 * np.abs(kossakowski_matrix(rates, pairing)).sum())
+            _, L = gen.restrict(np.arange(gen.dim**2))
+            norms = [abs(L).sum(axis=1).max()]
+            for pattern in ("e" * n, "g" * n, "".join(rng.choice(["e", "g"], size=n))):
+                norms.append(abs(gen.sector(product_state(pattern)).L_hat).sum(axis=1).max())
+            assert max(norms) <= bound * (1 + 1e-12)
+            with pytest.raises(DomainError) as err:  # the bound check_step steps with
+                dynamics.check_step(h, rates, 1e300, pairing)
+            reported = re.search(r"row sums up to (\S+) may", str(err.value)).group(1)
+            assert float(reported) == pytest.approx(bound, rel=1e-3)
+
+
+def test_evolve_refuses_an_overflowing_step_before_building_the_sector(monkeypatch):
+    frame, atoms, rs, h = resonant_system(2)
+
+    def no_sector(self, rho):
+        raise AssertionError("the sector was built")
+
+    monkeypatch.setattr(LindbladGenerator, "sector", no_sector)
+    with pytest.raises(DomainError, match="it would overflow"):
+        evolve(all_excited(2), h, rs, t_max=1e300, dt=1e298)
+    with pytest.raises(DomainError, match="it would overflow"):
+        dynamics.check_step(h, rs, 1e298)
+    dynamics.check_step(h, rs, 1e-3)
+
+
+def test_record_failures_name_their_step(monkeypatch):
+    # a reduced pair state below concurrence's -1e-9 floor, while the full
+    # state passes the -1e-6 hard floor, is an integration failure at its step
+    frame = FrameConfig(a=0.5, gamma0=3.0)
+    alphas = (0.5, 0.866, 1.232)
+    atoms = [AtomSpec(omega=alpha / 0.5, alpha=alpha) for alpha in alphas]
+    rs, h = same_wedge_rates(frame, atoms), build_hamiltonian(atoms, frame)
+    with pytest.raises(IntegrationError) as err:
+        evolve(all_ground(3), h, rs, t_max=20.0, dt=0.2, record_every=1)
+    assert type(err.value) is IntegrationError and err.value.step == 1
+    assert err.value.message == ("reduced pair state: density matrix has eigenvalue "
+                                 "-2.649e-08 below -1e-09")
+    # a population below the floor: the first record with one below 0.5
+    frame, atoms, rs, h = zero_temp_system(2)
+    ts = evolve(all_excited(2), h, rs, t_max=20.0, dt=0.01, record_every=50)
+    first = int(np.argmax(ts.column("P_1") < 0.5))
+    monkeypatch.setattr(dynamics, "_POP_FLOOR", 0.5)
+    with pytest.raises(IntegrationError) as err:
+        evolve(all_excited(2), h, rs, t_max=20.0, dt=0.01, record_every=50)
+    assert err.value.message.startswith("population of atom 0 is ")
+    assert err.value.step == round(ts.times[first] / 0.01)
