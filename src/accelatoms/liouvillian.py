@@ -36,22 +36,26 @@ K[i, kappa], K[N+kappa, N+i] and K[kappa, i], and that K is not positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from numpy.random import default_rng  # loaded with the module, not in a run's solve
 
 from .errors import CapacityError, DomainError
 from .kinematics import AtomSpec, FrameConfig, kinematic_state
 from .operators import sigma_minus, sigma_plus
 from .rates import RateSet, kossakowski_matrix
 
+if TYPE_CHECKING:
+    import scipy.sparse as sp
+
 N_MAX_DENSE = 6            # atoms of the Kronecker oracle at most; 4^6 x 4^6 takes 268 MB
 _ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
 _DENSE_BLOCKS = 128        # at most this many columns, a dense product beats CSR dispatch
-                           # (fig4 case_c submatrices: 4 against 9 us at 64, 7 against 10 at 128)
+                           # (fig4 case_c submatrices: 4 against 9 us at 64, 7 against 10 at 128);
+                           # only a matrix with more columns imports scipy.sparse
 
 
 def hamiltonian_from_omegas(omegas: Sequence[float]) -> np.ndarray:
@@ -129,19 +133,19 @@ class Sector:
     blocks on which the generator acts exactly.
 
     The entries of a state on the pairs form the vector v = rho.ravel()[pairs]
-    with d v/dt = L @ v for the CSR matrix L that `LindbladGenerator.restrict`
-    gathers from its jump table. The pairs are split into blocks such that,
-    for any two pairs of a block, the row sums of L into every block agree
-    (exact lumpability). A state that is constant on every block,
-    v = u[labels], then stays so, with d u/dt = L_hat @ u. When no two pairs
-    merge, every pair is its own block and L_hat is L.
+    with d v/dt = L @ v for the matrix L whose entries
+    `LindbladGenerator.restrict` gathers from its jump table. The pairs are
+    split into blocks such that, for any two pairs of a block, the row sums of
+    L into every block agree (exact lumpability). A state that is constant on
+    every block, v = u[labels], then stays so, with d u/dt = L_hat @ u. When
+    no two pairs merge, every pair is its own block and L_hat is L.
     """
 
     dim: int
     pairs: np.ndarray        # sorted pair indices p = a * dim + b
     swap: np.ndarray         # position of (b, a) for each pair (a, b)
     labels: np.ndarray       # block of each pair
-    L_hat: np.ndarray | sp.csr_array  # d u/dt = L_hat @ u; dense when small
+    L_hat: np.ndarray | sp.csr_array  # d u/dt = L_hat @ u; dense up to _DENSE_BLOCKS blocks
     block_swap: np.ndarray   # block of the pairs (b, a) for each block of pairs (a, b)
     diag_count: np.ndarray   # pairs (a, a) in each block: Tr rho = Re(diag_count @ u)
     emission: np.ndarray     # R_tot = -Re(emission @ u)
@@ -166,9 +170,8 @@ class Sector:
         sums weights[r] over each block, so that weights @ v = result @ u for
         v = u[labels]. Dense when there are few blocks, like L_hat."""
         r, pos = np.nonzero(weights)
-        return _dense_if_few_blocks(sp.csr_array(
-            (weights[r, pos].astype(complex), (r, self.labels[pos])),
-            shape=(len(weights), len(self.block_swap))))
+        return _matrix(r, self.labels[pos], weights[r, pos].astype(complex),
+                       (len(weights), len(self.block_swap)))
 
     def row_blocks(self) -> list[np.ndarray]:
         """rho is block diagonal over the components of the rows that the
@@ -181,7 +184,7 @@ class Sector:
         rows = np.argsort(root, kind="stable")
         _, start, size = np.unique(root[rows], return_index=True, return_counts=True)
         blocks = []
-        for s in np.unique(size):
+        for s in np.flatnonzero(np.bincount(size)):  # a plain np.unique loads numpy.ma
             members = rows[start[size == s, None] + np.arange(s)]
             p = members[:, :, None] * dim + members[:, None, :]
             i = np.minimum(np.searchsorted(self.pairs, p), len(self.pairs) - 1)
@@ -205,15 +208,29 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         root = new
 
 
-def _dense_if_few_blocks(m: sp.csr_array) -> np.ndarray | sp.csr_array:
-    """m as a dense array if it has at most _DENSE_BLOCKS columns, else as it is."""
-    return m.toarray() if m.shape[1] <= _DENSE_BLOCKS else m
+def _matrix(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
+            shape: tuple[int, int]) -> np.ndarray | sp.csr_array:
+    """The complex matrix with the entries vals at (rows, cols), repeated
+    positions summed in the order given: dense, by np.bincount, when it has at
+    most _DENSE_BLOCKS columns, else a scipy CSR array."""
+    key = rows.astype(np.int64) * shape[1] + cols
+    if shape[1] <= _DENSE_BLOCKS:
+        size = shape[0] * shape[1]
+        out = np.empty(size, dtype=complex)
+        out.real, out.imag = np.bincount(key, vals.real, size), np.bincount(key, vals.imag, size)
+        return out.reshape(shape)
+    import scipy.sparse as sp
+    # repeats adjacent and in the given order, so scipy sums them in that order
+    order = np.argsort(key, kind="stable")
+    return sp.csr_array((vals[order], (rows[order], cols[order])), shape=shape)
 
 
-def _lump(L: sp.csr_array, swap: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, sp.csr_array]:
+def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
+          v: np.ndarray) -> tuple[np.ndarray, np.ndarray | sp.csr_array]:
     """The coarsest partition of the pairs into blocks that refines the
-    classes of equal entries of v, is closed under `swap`, and over which L is
-    exactly lumpable; returns the block labels and L_hat.
+    classes of equal entries of v, is closed under `swap`, and over which L,
+    given as its row-major entries (rows, cols, vals), is exactly lumpable;
+    returns the block labels and L_hat (`_matrix`).
 
     Each round splits every block by one signature per pair, the row sums of
     L into the blocks combined with fixed pseudo-random complex weights, until
@@ -225,14 +242,15 @@ def _lump(L: sp.csr_array, swap: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
     When it fails, or when no two pairs merge, every pair is its own block
     and L_hat is L.
     """
-    m = L.shape[0]
-    scale = float(np.abs(L.data).max()) if L.nnz else 0.0
+    rows, cols, vals = L
+    m = len(v)
+    scale = float(np.abs(vals).max()) if len(vals) else 0.0
     values, labels = np.unique(v, return_inverse=True)
     k = len(values)
-    rng = np.random.default_rng(0)
+    rng = default_rng(0)  # other weights would renumber the blocks
     while k < m:
         weights = rng.random(k) + 1j * rng.random(k)
-        signature = (L @ weights[labels]).real
+        signature = np.bincount(rows, (vals * weights[labels][cols]).real, m)
         swapped = labels[swap]
         order = np.lexsort((signature, swapped, labels))
         # equal signatures differ by rounding, far below the gap
@@ -245,12 +263,11 @@ def _lump(L: sp.csr_array, swap: np.ndarray, v: np.ndarray) -> tuple[np.ndarray,
         labels[order] = np.concatenate(([0], np.cumsum(cut)))
         k = blocks
     if k < m:
-        LP = L @ sp.csr_array((np.ones(m), (np.arange(m), labels)), shape=(m, k))
+        LP = _matrix(rows, labels[cols], vals, (m, k))
         L_hat = LP[np.unique(labels, return_index=True)[1]]
-        residual = (LP - L_hat[labels]).data
-        if not residual.size or np.abs(residual).max() <= _LUMP_CERTIFICATE * scale:
+        if abs(LP - L_hat[labels]).max() <= _LUMP_CERTIFICATE * scale:
             return labels, L_hat
-    return np.arange(m), L
+    return np.arange(m), _matrix(rows, cols, vals, (m, m))
 
 
 class LindbladGenerator:
@@ -262,8 +279,8 @@ class LindbladGenerator:
     maps over the basis (dim where the product vanishes) and a weight. Jumps
     that leave the pair in place (H and the diagonal parts of the no-jump
     terms) fold into one diagonal weight. `restrict` gathers the table once to
-    find the pairs reachable from a state and to assemble the sparse L on
-    them, with pair index p = a * dim + b (row-major in rho).
+    find the pairs reachable from a state and the entries of L on them, with
+    pair index p = a * dim + b (row-major in rho).
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -307,12 +324,15 @@ class LindbladGenerator:
         moves = ~(on_left | on_right)  # row x of _fl, _fr: x's image under every jump
         self._fl, self._fr, self._w = fl[moves].T.copy(), fr[moves].T.copy(), w[moves]
 
-    def restrict(self, support) -> tuple[np.ndarray, sp.csr_array]:
+    def restrict(self, support) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The sorted pair indices reachable from the pair indices `support`
-        (breadth-first over the jumps), which L leaves invariant, and the CSR
-        matrix of L on them: (L v)[k] is d rho[pairs[k]]/dt. Each pair's jumps
-        are gathered once, _ASSEMBLY_CHUNK jump x pair entries at a time; the
-        gather marks new pairs and keeps every live (source, target, jump)."""
+        (breadth-first over the jumps), which L leaves invariant, and the
+        entries (rows, cols, vals) of L on them, (L v)[k] being
+        d rho[pairs[k]]/dt: int32 indices, in row-major order. Each unfolded
+        jump flips a distinct set of bits and the diagonal none, so no
+        (row, col) repeats. Each pair's jumps are gathered once,
+        _ASSEMBLY_CHUNK jump x pair entries at a time; the gather marks new
+        pairs and keeps every live (source, target, jump)."""
         dim, jumps = self.dim, len(self._w)
         step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
         seen = np.zeros(dim**2, dtype=bool)
@@ -336,13 +356,18 @@ class LindbladGenerator:
         on = np.flatnonzero(diag)
         position = np.empty(dim**2, dtype=np.int32)  # read at the pairs only
         position[pairs] = np.arange(len(pairs))
-        # one COO triple with int32 indices, the diagonal first; the kept
-        # arrays and the table are freed before the conversion
+        # the diagonal first, then the kept entries; the kept arrays and the
+        # table are freed before the row-major sort, each unsorted array as
+        # soon as its sorted copy exists
         vals = np.concatenate([diag[on], *(self._w[j] for j in jump)])
         rows = np.concatenate([on, *(position[t] for t in tgt)], dtype=np.int32)
         cols = np.concatenate([on, *(position[s] for s in src)], dtype=np.int32)
         del src, tgt, jump, position
-        return pairs, sp.csr_array((vals, (rows, cols)), shape=(len(pairs),) * 2)
+        order = np.argsort(rows.astype(np.int64) * len(pairs) + cols)
+        vals = vals[order]
+        rows = rows[order]
+        cols = cols[order]
+        return pairs, (rows, cols, vals)
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
@@ -357,7 +382,6 @@ class LindbladGenerator:
         a, b = np.divmod(pairs, dim)
         swap = np.searchsorted(pairs, b * dim + a)
         labels, L_hat = _lump(L, swap, rho.ravel()[pairs])
-        L_hat = _dense_if_few_blocks(L_hat)
         k = L_hat.shape[0]
         block_swap = np.empty(k, dtype=np.intp)
         block_swap[labels] = labels[swap]
@@ -381,12 +405,15 @@ class LindbladGenerator:
         invariant sets (the weakly connected components of its graph, in the
         order of their smallest pair); the spectrum of L is the union of the
         blocks' spectra."""
-        _, L = self.restrict(np.arange(self.dim * self.dim))
-        root = _components(L.shape[0], *L.nonzero())
+        pairs, (rows, cols, vals) = self.restrict(np.arange(self.dim * self.dim))
+        root = _components(len(pairs), rows, cols)
         blocks = []
-        for c in np.unique(root):
+        for c in np.flatnonzero(root == np.arange(len(pairs))):  # each component's smallest pair
             idx = np.flatnonzero(root == c)
-            blocks.append(L[idx][:, idx].toarray())
+            e = np.flatnonzero(root[rows] == c)
+            block = np.zeros((len(idx), len(idx)), dtype=complex)
+            block[np.searchsorted(idx, rows[e]), np.searchsorted(idx, cols[e])] = vals[e]
+            blocks.append(block)
         return blocks
 
 

@@ -212,17 +212,46 @@ def test_write_csv_rows_match_fmt(tmp_path):
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
-def test_bec_design_preset_does_not_import_scipy_linalg(tmp_path):
-    # a fresh interpreter, so no other test's imports count
-    code = ("import sys\nfrom accelatoms import cli\n"
-            f"assert cli.main(['preset', 'bec_design', '--out', {str(tmp_path)!r}]) == 0\n"
-            "print('scipy.linalg' in sys.modules)\n")
+def _fresh_interpreter(code: str) -> list[str]:
+    """The stdout lines of `code` run in a fresh interpreter, so that no other
+    test's imports count."""
     src = str(Path(cli.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
-    assert (tmp_path / "nb_grid.csv").exists()
+    return proc.stdout.splitlines()
+
+
+def test_presets_load_scipy_only_for_a_sector_above_128_blocks(tmp_path):
+    # fig2, counter and bec_design step, record and analyse in numpy; fig4's
+    # two unlumped 924-pair case_c sectors are stepped as scipy CSR
+    code = ("import sys\nfrom accelatoms import cli\n"
+            "for name in ('fig2', 'counter', 'bec_design', 'fig4'):\n"
+            f"    assert cli.main(['preset', name, '--out', {str(tmp_path)!r} + '/' + name]) == 0\n"
+            "    print('loaded after', name + ':', "
+            "*sorted(m for m in sys.modules if m.startswith('scipy')))\n")
+    loaded = [line.split()[2:] for line in _fresh_interpreter(code)
+              if line.startswith("loaded after")]
+    assert loaded[:3] == [["fig2:"], ["counter:"], ["bec_design:"]]
+    assert loaded[3][0] == "fig4:" and "scipy.sparse" in loaded[3]
+    assert (tmp_path / "bec_design" / "nb_grid.csv").exists()
+
+
+def test_a_run_imports_nothing_after_validation(tmp_path):
+    # the import cost belongs to set-up: a serial run of a lumped dynamics
+    # scenario (with its spectral analysis) and of a condensate design adds no
+    # module once `config` and `runner` are imported and the config validated
+    sweep = SWEEP.replace("n_atoms = 2", "n_atoms = 3")
+    code = ("import sys\nfrom accelatoms import config, runner\n"
+            "print('scipy at import:', *[m for m in sys.modules if m.startswith('scipy')])\n"
+            f"for i, text in enumerate(({sweep!r}, {_small_bec_design()!r})):\n"
+            "    cfg = config.parse_config(text)\n"
+            "    assert config.validate(cfg) == []\n"
+            "    before = set(sys.modules)\n"
+            f"    runner.run_scenario(cfg, {str(tmp_path)!r} + f'/{{i}}')\n"
+            "    print('new modules:', *sorted(set(sys.modules) - before))\n")
+    assert _fresh_interpreter(code) == ["scipy at import:", "new modules:", "new modules:"]
+    assert (tmp_path / "0" / "alpha_2.csv").exists() and (tmp_path / "1" / "nb_grid.csv").exists()
 
 
 def test_cli_integration_failure_under_worker_processes(tmp_path, capsys):

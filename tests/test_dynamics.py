@@ -14,6 +14,7 @@ from accelatoms.liouvillian import (LindbladGenerator, Sector, build_hamiltonian
                                     build_superoperator, check_density_matrix)
 from accelatoms.operators import sigma_minus, sigma_plus
 from accelatoms.rates import cross_wedge_rates, kossakowski_matrix, same_wedge_rates
+from csr_oracle import csr
 
 ZERO_T_A = 1e-3
 
@@ -367,7 +368,7 @@ def test_evolve_rejects_partial_final_step():
 def _reference_states(gen, rho0, pairs, dt, nsteps, record_every):
     # classic four-stage RK4 on the unreduced sector, with the same
     # Hermitization and trace renormalisation as evolve
-    _, L = gen.restrict(pairs)
+    _, L = csr(gen.restrict(pairs))
     a, b = np.divmod(pairs, gen.dim)
     swap = np.searchsorted(pairs, b * gen.dim + a)
     v = rho0.ravel()[pairs].astype(complex)
@@ -597,7 +598,7 @@ def test_step_bound_dominates_every_sector_generator():
             gen = LindbladGenerator(h, rates, pairing)
             bound = (2.0 * (0.0 if h is None else np.abs(h).max())
                      + 4.0 * np.abs(kossakowski_matrix(rates, pairing)).sum())
-            _, L = gen.restrict(np.arange(gen.dim**2))
+            _, L = csr(gen.restrict(np.arange(gen.dim**2)))
             norms = [abs(L).sum(axis=1).max()]
             for pattern in ("e" * n, "g" * n, "".join(rng.choice(["e", "g"], size=n))):
                 norms.append(abs(gen.sector(product_state(pattern)).L_hat).sum(axis=1).max())

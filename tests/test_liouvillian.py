@@ -1,5 +1,4 @@
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -15,8 +14,10 @@ from accelatoms.liouvillian import (LindbladGenerator, _ladder_table,
                                     check_density_matrix, hamiltonian_from_omegas,
                                     lindblad_rhs, steady_state_analysis, thermal_residual,
                                     thermal_state)
-from accelatoms.operators import all_excited, all_ground, sigma_minus, sigma_plus
+from accelatoms.operators import (all_excited, all_ground, product_state, sigma_minus,
+                                  sigma_plus)
 from accelatoms.rates import cross_wedge_rates, kossakowski_matrix, same_wedge_rates
+from csr_oracle import csr
 
 
 def resonant_pair(a=2.0):
@@ -370,15 +371,15 @@ def test_assembly_in_several_chunks_matches_one(monkeypatch):
             chunked_pairs, chunked = gen.restrict(start)
             assert spy.count > 10
             assert np.array_equal(chunked_pairs, pairs)
-            assert np.array_equal(chunked.indptr, L.indptr)
-            assert np.array_equal(chunked.indices, L.indices)
-            assert np.array_equal(chunked.data, L.data)
+            for got, expected in zip(chunked, L):  # rows, cols, vals
+                assert got.dtype == expected.dtype and np.array_equal(got, expected)
         assert np.array_equal(gen.restrict(pairs[:1])[0], seen)
 
 
-def test_assembled_coo_triple_has_no_repeated_entry(monkeypatch):
+def test_assembled_coo_triple_has_no_repeated_entry():
     # each unfolded jump flips a distinct set of bits and the diagonal flips
-    # none, so no (row, col) of the triple that restrict hands to CSR repeats
+    # none, so no (row, col) of the triple that restrict returns repeats; the
+    # keys row * m + col strictly increase, so the triple is also row-major
     rng = np.random.default_rng(31)
     cases = []
     for trial in range(20):
@@ -407,18 +408,13 @@ def test_assembled_coo_triple_has_no_repeated_entry(monkeypatch):
               (counter, counter.sector(all_ground(4)).pairs)]
     assert sum(gen.rates.has_cross for gen, _ in cases) >= 6
 
-    triples = []
-
-    def capture(arg, shape):
-        triples.append(arg)
-        return sp.csr_array(arg, shape=shape)
-
-    monkeypatch.setattr(liouvillian, "sp", types.SimpleNamespace(csr_array=capture))
     for gen, pairs in cases:
-        _, L = gen.restrict(pairs)
-        vals, (rows, cols) = triples[-1]
+        reached, (rows, cols, vals) = gen.restrict(pairs)
+        assert np.array_equal(reached, pairs)
+        assert rows.dtype == cols.dtype == np.int32 and len(rows) == len(cols) == len(vals)
         keys = rows.astype(np.int64) * len(pairs) + cols
-        assert len(np.unique(keys)) == len(keys) == len(vals) == L.nnz
+        assert np.all(np.diff(keys) > 0)
+        assert rows.min() >= 0 and cols.min() >= 0 and keys[-1] < len(pairs) ** 2
 
 
 def test_reachable_sector_of_product_states():
@@ -433,7 +429,7 @@ def test_reachable_sector_of_product_states():
     charge = np.array([(k & 1) + (k >> 1 & 1) - (k >> 2 & 1) - (k >> 3 & 1) for k in range(16)])
     assert len(anomalous) == 70 and np.all(charge[a] == charge[b])
     # literal pairing: the same code path finds the equal-excitation sector instead
-    literal, L = counter_wedge_four("literal").restrict(np.flatnonzero(all_ground(4)))
+    literal, L = csr(counter_wedge_four("literal").restrict(np.flatnonzero(all_ground(4))))
     a, b = np.divmod(literal, 16)
     popcount = np.array([bin(k).count("1") for k in range(16)])
     assert len(literal) == 70 and np.all(popcount[a] == popcount[b])
@@ -497,8 +493,31 @@ def test_lumping_finds_the_symmetric_blocks():
     # the lumped generator reproduces L on every state constant on the blocks
     rng = np.random.default_rng(7)
     u = rng.normal(size=10) + 1j * rng.normal(size=10)
-    _, L = counter_wedge_four().restrict(sector.pairs)
+    _, L = csr(counter_wedge_four().restrict(sector.pairs))
     assert np.abs(L @ u[sector.labels] - (sector.L_hat @ u)[sector.labels]).max() < 1e-13
+
+
+def test_lumped_sector_above_128_blocks_is_stepped_as_csr():
+    # three groups of identical atoms: 720 pairs in 200 blocks, more than
+    # _DENSE_BLOCKS, so L_hat and the functionals are scipy CSR arrays whose
+    # repeated entries were summed from L's row-major entries
+    frame = FrameConfig(a=2.0)
+    atoms = ([AtomSpec(omega=1.0, alpha=2.0)] * 3 + [AtomSpec(omega=1.0, alpha=2.6)] * 2
+             + [AtomSpec(omega=1.0, alpha=3.1)] * 2)
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    sector = gen.sector(product_state("egegege"))
+    k = len(sector.block_swap)
+    assert len(sector.pairs) == 720 and k == 200 > liouvillian._DENSE_BLOCKS
+    assert sp.issparse(sector.L_hat) and sector.L_hat.shape == (k, k)
+    assert sector.L_hat.has_canonical_format
+    rng = np.random.default_rng(5)
+    u = rng.normal(size=k) + 1j * rng.normal(size=k)
+    _, L = csr(gen.restrict(sector.pairs))
+    assert np.abs(L @ u[sector.labels] - (sector.L_hat @ u)[sector.labels]).max() < 1e-13
+    weights = rng.integers(0, 2, size=(3, len(sector.pairs)))
+    W = sector.functionals(weights)
+    assert sp.issparse(W) and W.shape == (3, k)
+    assert np.abs(weights @ u[sector.labels] - W @ u).max() < 1e-12
 
 
 def test_lumping_leaves_distinct_atoms_unreduced():
@@ -509,19 +528,21 @@ def test_lumping_leaves_distinct_atoms_unreduced():
     m = len(sector.pairs)
     assert np.array_equal(sector.labels, np.arange(m))
     assert sector.L_hat.shape == (m, m)
-    assert abs(sector.L_hat - gen.restrict(sector.pairs)[1]).max() == 0
+    assert abs(sector.L_hat - csr(gen.restrict(sector.pairs))[1]).max() == 0
 
 
 def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
     gen = counter_wedge_four()
     lumped = gen.sector(all_ground(4))
-    _, exact = gen.restrict(lumped.pairs)
+    _, exact = csr(gen.restrict(lumped.pairs))
     # one diagonal entry in the largest block moves far below the refinement's
     # gap and far above the certificate's tolerance
     i = np.flatnonzero(lumped.labels == np.bincount(lumped.labels).argmax())[-1]
     delta = 1e-11 * np.abs(exact.data).max()
     perturbed = exact + sp.csr_array(([delta], ([i], [i])), shape=exact.shape)
-    monkeypatch.setattr(gen, "restrict", lambda support: (lumped.pairs, perturbed))
+    entries = perturbed.tocoo()  # row-major, as restrict returns them
+    monkeypatch.setattr(gen, "restrict", lambda support: (
+        lumped.pairs, (entries.row, entries.col, entries.data)))
     sector = gen.sector(all_ground(4))
     assert np.array_equal(sector.labels, np.arange(70))
     assert np.array_equal(sector.L_hat, perturbed.toarray())
@@ -545,7 +566,7 @@ def test_invariant_block_spectrum_matches_superoperator():
         # merged blocks would keep the spectrum, so pin the partition: the
         # weak components of L, ordered by their smallest pair
         blocks = gen.invariant_blocks()
-        _, L = gen.restrict(np.arange(gen.dim**2))
+        _, L = csr(gen.restrict(np.arange(gen.dim**2)))
         count, labels = connected_components(L != 0, directed=True, connection="weak")
         members = sorted((np.flatnonzero(labels == c) for c in range(count)), key=min)
         assert len(blocks) == count
