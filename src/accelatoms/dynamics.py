@@ -10,7 +10,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .liouvillian import LindbladGenerator, Sector, check_density_matrix
+from .liouvillian import (LindbladGenerator, Sector, _density_checks, _first_failure,
+                          check_density_matrix)
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
 from .rates import RateSet, kossakowski_matrix
 
@@ -124,23 +125,21 @@ def concurrence(rho2: np.ndarray) -> float | np.ndarray:
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape[-2:] != (4, 4):
         raise DomainError(f"concurrence needs a 4x4 state, got {rho2.shape}")
-    batch = rho2.shape[:-2]
-    rho2 = rho2.reshape(-1, 4, 4)
-    finite = np.isfinite(rho2).all(axis=(1, 2))
-    ok = len(rho2) if finite.all() else int(finite.argmin())
-    rho_tilde = _SY_SY @ rho2[:ok].conj() @ _SY_SY  # no LAPACK call sees a non-finite state
-    evals = np.linalg.eigvals(rho2[:ok] @ rho_tilde).real
+    conc, checks = _concurrence_core(rho2.reshape(-1, 4, 4))
+    if failure := _first_failure(checks):
+        raise DomainError(failure[1])
+    return conc.reshape(rho2.shape[:-2]) if rho2.ndim > 2 else float(conc[0])
+
+
+def _concurrence_core(rho2: np.ndarray):
+    """The concurrences of the states rho2 (count, 4, 4) and their ordered
+    checks: check_density_matrix's at 1e-8, then the spectrum of rho*rho_tilde."""
+    rho2, checks = _density_checks(rho2, 1e-8, 1e-8, -1e-9)
+    evals = np.linalg.eigvals(rho2 @ (_SY_SY @ rho2.conj() @ _SY_SY)).real
     low = evals.min(axis=1)
-    bad = low < -1e-9
-    first = int(bad.argmax()) if bad.any() else ok
-    # the states up to the first bad spectrum or non-finite state are checked
-    # first, as one at a time; the non-finite one fails there
-    check_density_matrix(rho2[:first + 1], herm_tol=1e-8, trace_tol=1e-8, eig_floor=-1e-9)
-    if first < ok:
-        raise DomainError(f"spectrum of rho*rho_tilde has eigenvalue {low[first]:.3e}")
+    checks.append((low < -1e-9, lambda i: f"spectrum of rho*rho_tilde has eigenvalue {low[i]:.3e}"))
     lam = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=1)
-    conc = np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0])
-    return conc.reshape(batch) if batch else float(conc[0])
+    return np.maximum(0.0, lam[:, 3] - lam[:, 2] - lam[:, 1] - lam[:, 0]), checks
 
 
 class RecordMap:
@@ -177,13 +176,16 @@ class RecordMap:
 
     def linear(self, U: np.ndarray):
         """(populations, traces, correlations <sigma_j^+ sigma_l^->, reduced
-        pair states or None, R_tot) of the block vectors in the rows of U."""
+        pair states or None, R_tot) of the block vectors in the rows of U, each
+        row by its own product, so that its numbers do not depend on the batch
+        (a CSR product sums each column of W @ U.T on its own)."""
         n = self.n_atoms
-        V = (self.W @ U.T).T
+        V = (np.matmul(self.W, U[:, :, None])[:, :, 0] if isinstance(self.W, np.ndarray)
+             else (self.W @ U.T).T)
         corr_end = n + 1 + n * (n - 1) // 2
         rho2 = V[:, corr_end:].reshape(-1, 4, 4) if V.shape[1] > corr_end else None
         return (V[:, :n].real, V[:, n], V[:, n + 1:corr_end], rho2,
-                -(U @ self.emission).real)
+                -np.matmul(U[:, None, :], self.emission[:, None])[:, 0, 0].real)
 
     def min_eig(self, U: np.ndarray) -> np.ndarray:
         """Lowest eigenvalue of rho for each block vector in the rows of U,
@@ -227,18 +229,22 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     (`LindbladGenerator.sector`); a step costs four products with its L_hat.
     The state is re-Hermitized and trace-renormalized after every step (drift
     is logged in max_trace_drift). Observables are recorded every
-    `record_every` steps and at the final time, and invariants are
-    hard-checked every 100 steps. Both are snapshots of u, evaluated together
-    through a `RecordMap` every 100 steps, at the end and before a trace-drift
-    error. The earliest failing snapshot raises as a check at its own step
-    would have: IntegrationError, naming the step, for a non-finite state, a
-    trace error, an eigenvalue below the floor, a negative population or an
-    invalid reduced pair state, in that order.
+    `record_every` (an integer >= 1) steps and at the final time, and
+    invariants are hard-checked every 100 steps. Each such state is
+    snapshotted once; the snapshots are evaluated together through a
+    `RecordMap` every 100 steps, at the end and before a trace-drift error,
+    each on its own, so that a record does not depend on its batch. Each
+    state is checked for, in order, a non-finite entry, a trace error, an
+    eigenvalue below the floor, then, on records, a negative population and an
+    invalid reduced pair state; the earliest failing state raises its first
+    failing check as IntegrationError, naming its step.
     """
     if dt <= 0:
         raise DomainError(f"dt must be > 0, got {dt}")
     if t_max < 0:
         raise DomainError(f"t_max must be >= 0, got {t_max}")
+    if not isinstance(record_every, (int, np.integer)) or record_every < 1:
+        raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
     nsteps = round(t_max / dt)
     if abs(t_max / dt - nsteps) > 1e-9 * nsteps:
         raise DomainError(f"t_max = {t_max} is not a whole number of steps dt = {dt}")
@@ -264,80 +270,59 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     pending: list[tuple[int, bool, np.ndarray]] = []  # (steps taken, is a record, u)
     max_drift = 0.0
 
-    def snapshot(step, is_record, u):
-        pending.append((step, is_record, u))
-        if len(pending) * len(u) >= _BATCH_ENTRIES:
-            evaluate()
-
     def evaluate():
         if not pending:
             return
-        steps = np.array([s[0] for s in pending])
-        is_record = np.array([s[1] for s in pending])
-        U = np.array([s[2] for s in pending])
+        steps, is_record, U = (np.array(column) for column in zip(*pending))
         pending.clear()
         finite = np.isfinite(U).all(axis=1)
-        ok = len(U) if finite.all() else int(finite.argmin())
-        U = U[:ok]  # no LAPACK call sees a non-finite state
+        U[~finite] = 0  # no LAPACK call sees a non-finite state
         pops, trace, corr, rho2, r_tot = record_map.linear(U)
         trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
         min_eig = record_map.min_eig(U)
-        bad = ((trace_err > _TRACE_HARD) | (min_eig < _EIG_HARD)
-               | (is_record[:ok] & (pops < _POP_FLOOR).any(axis=1)))
-        first = int(bad.argmax()) if bad.any() else ok
-        rec = np.flatnonzero(is_record[:first])
-        try:
-            conc = concurrence(rho2[rec]) if pair else np.zeros(len(rec))
-        except DomainError:
-            # the earliest invalid reduced state, all before `first`, one at a time for its step
-            for i in rec:
-                try:
-                    concurrence(rho2[i])
-                except DomainError as exc:
-                    raise IntegrationError(f"reduced pair state: {exc}",
-                                           step=int(steps[i])) from None
-            raise
-        if first < len(steps):
-            step = int(steps[first])
-            if first == ok:
-                raise IntegrationError("state became non-finite", step=step)
-            if trace_err[first] > _TRACE_HARD:
-                raise IntegrationError(f"trace error {trace_err[first]:.3e} beyond hard "
-                                       f"tolerance {_TRACE_HARD}", step=step)
-            if min_eig[first] < _EIG_HARD:
-                raise IntegrationError(f"state eigenvalue {min_eig[first]:.3e} below hard "
-                                       f"floor {_EIG_HARD}", step=step)
-            j = int((pops[first] < _POP_FLOOR).argmax())
-            raise IntegrationError(f"population of atom {j} is {pops[first, j]:.3e} < -1e-9",
-                                   step=step)
-        p = np.maximum(pops[rec], 0.0)
-        times.extend(steps[rec] * dt)
-        rows.append(np.column_stack([p, p.sum(axis=1), r_tot[rec],
-                                     2.0 * np.abs(corr[rec]).sum(axis=1), conc,
-                                     trace_err[rec], min_eig[rec]]))
+        low = pops < _POP_FLOOR
+        atom = low.argmax(axis=1)
+        conc, pair_checks = _concurrence_core(rho2) if pair else (np.zeros(len(U)), [])
+        failure = _first_failure([
+            (~finite, lambda i: "state became non-finite"),
+            (trace_err > _TRACE_HARD,
+             lambda i: f"trace error {trace_err[i]:.3e} beyond hard tolerance {_TRACE_HARD}"),
+            (min_eig < _EIG_HARD,
+             lambda i: f"state eigenvalue {min_eig[i]:.3e} below hard floor {_EIG_HARD}"),
+            (is_record & low.any(axis=1),
+             lambda i: f"population of atom {atom[i]} is {pops[i, atom[i]]:.3e} < -1e-9"),
+            *((is_record & mask, lambda i, message=message: f"reduced pair state: {message(i)}")
+              for mask, message in pair_checks)])
+        if failure:
+            raise IntegrationError(failure[1], step=int(steps[failure[0]]))
+        p = np.maximum(pops[is_record], 0.0)
+        times.extend(steps[is_record] * dt)
+        rows.append(np.column_stack([p, p.sum(axis=1), r_tot[is_record],
+                                     2.0 * np.abs(corr[is_record]).sum(axis=1), conc[is_record],
+                                     trace_err[is_record], min_eig[is_record]]))
         if states is not None:
-            states.extend(sector.scatter(v) for v in U[rec])
+            states.extend(sector.scatter(v) for v in U[is_record])
 
-    for step in range(nsteps):
-        if step % record_every == 0:
-            snapshot(step, True, u)
-        w = u
-        for c in horner:
-            w = u + c * (sector.L_hat @ w)
-        u = w
-        # the Hermitized state has the trace Re(sum of the diagonal entries)
-        tr = float((sector.diag_count @ u).real)
-        if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
-            evaluate()  # an earlier snapshot's failure comes first
-            raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
-                                   f"tolerance {_TRACE_HARD}", step=step + 1)
-        max_drift = max(max_drift, abs(tr - 1.0))
-        u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
-        if (step + 1) % _CHECK_EVERY == 0 or step == nsteps - 1:
-            snapshot(step + 1, False, u)
-            evaluate()
-    snapshot(nsteps, True, u)
-    evaluate()
+    for step in range(nsteps + 1):
+        if step:
+            w = u
+            for c in horner:
+                w = u + c * (sector.L_hat @ w)
+            u = w
+            # the Hermitized state has the trace Re(sum of the diagonal entries)
+            tr = float((sector.diag_count @ u).real)
+            if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
+                evaluate()  # an earlier snapshot's failure comes first
+                raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
+                                       f"tolerance {_TRACE_HARD}", step=step)
+            max_drift = max(max_drift, abs(tr - 1.0))
+            u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
+        is_record = step % record_every == 0 or step == nsteps
+        is_check = (step > 0 and step % _CHECK_EVERY == 0) or step == nsteps  # step 0 is a record
+        if is_record or is_check:  # one snapshot per state
+            pending.append((step, is_record, u))
+            if is_check or len(pending) * len(u) >= _BATCH_ENTRIES:
+                evaluate()
 
     return TimeSeries(times=np.array(times), columns=columns, records=np.concatenate(rows),
                       states=states, max_trace_drift=max_drift)

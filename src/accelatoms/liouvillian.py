@@ -77,6 +77,34 @@ def build_hamiltonian(atoms: Sequence[AtomSpec], frame: FrameConfig) -> np.ndarr
     return hamiltonian_from_omegas([kinematic_state(frame, a).Omega for a in atoms])
 
 
+def _first_failure(checks) -> tuple[int, str] | None:
+    """The first state in C order that fails any of the ordered checks, each a
+    (mask over the states, message of a state's index), with the message of
+    its first failing check; None when every state passes."""
+    bad = np.array([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(bad.any(axis=0).argmax())
+    return i, checks[int(bad[:, i].argmax())][1](i)
+
+
+def _density_checks(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floor: float):
+    """The states rho (count, d, d) with the non-finite ones zeroed, so that no
+    LAPACK call sees one, and check_density_matrix's ordered checks on them."""
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    rho = np.where(finite[:, None, None], rho, 0)
+    rho_h = rho.conj().swapaxes(-1, -2)
+    herm = np.abs(rho - rho_h).max(axis=(1, 2))
+    tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
+    min_eig = np.linalg.eigvalsh((rho + rho_h) / 2).min(axis=1)
+    return rho, [
+        (~finite, lambda i: "density matrix has a non-finite entry"),
+        (herm > herm_tol, lambda i: f"density matrix not Hermitian (max deviation {herm[i]:.3e})"),
+        (tr_err > trace_tol, lambda i: f"density matrix trace off by {tr_err[i]:.3e}"),
+        (min_eig < eig_floor,
+         lambda i: f"density matrix has eigenvalue {min_eig[i]:.3e} below {eig_floor}")]
+
+
 def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
                          trace_tol: float = 1e-10, eig_floor: float = -1e-9) -> None:
     """Raise DomainError unless rho is finite, Hermitian, unit trace and
@@ -86,25 +114,9 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
     rho = np.asarray(rho)
     if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise DomainError(f"density matrix must be square, got shape {rho.shape}")
-    rho = rho.reshape(-1, *rho.shape[-2:])
-    finite = np.isfinite(rho).all(axis=(1, 2))
-    ok = len(rho) if finite.all() else int(finite.argmin())
-    rho = rho[:ok]  # no LAPACK call sees a non-finite state
-    rho_h = rho.conj().swapaxes(-1, -2)
-    herm = np.abs(rho - rho_h).max(axis=(1, 2))
-    tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
-    min_eig = np.linalg.eigvalsh((rho + rho_h) / 2).min(axis=1)
-    bad = (herm > herm_tol) | (tr_err > trace_tol) | (min_eig < eig_floor)
-    if not bad.any():
-        if ok < len(finite):
-            raise DomainError("density matrix has a non-finite entry")
-        return
-    i = int(bad.argmax())
-    if herm[i] > herm_tol:
-        raise DomainError(f"density matrix not Hermitian (max deviation {herm[i]:.3e})")
-    if tr_err[i] > trace_tol:
-        raise DomainError(f"density matrix trace off by {tr_err[i]:.3e}")
-    raise DomainError(f"density matrix has eigenvalue {min_eig[i]:.3e} below {eig_floor}")
+    _, checks = _density_checks(rho.reshape(-1, *rho.shape[-2:]), herm_tol, trace_tol, eig_floor)
+    if failure := _first_failure(checks):
+        raise DomainError(failure[1])
 
 
 def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:

@@ -8,13 +8,16 @@ whole, and of every CSV file its header and every k-th data row plus the last
 nb_grid.csv holds integer counts and is kept whole. It also writes
 tests/data/reference/sha256.txt, one `digest  preset/file` line per full output
 file, which the test session's terminal summary compares against. Regenerating
-the reference changes a check: record why, and the largest deviation per file.
+the reference changes a check: record why, and the largest deviation per file,
+which this script prints for every file it rewrites (for sha256.txt, the number
+of digests that changed).
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import re
 import shutil
 import sys
 import tempfile
@@ -34,6 +37,26 @@ def sample(path: Path) -> str:
     return "\n".join([f"row,{header}", *(f"{i},{rows[i]}" for i in kept)]) + "\n"
 
 
+def deviation(old: str, new: str) -> str:
+    """The largest absolute difference between the numbers of two reference
+    texts at the same line and field, or how their layouts differ."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return f"{len(new_lines)} lines, reference had {len(old_lines)}"
+    worst = 0.0
+    for lineno, (old_line, new_line) in enumerate(zip(old_lines, new_lines), start=1):
+        old_fields, new_fields = re.split(r",| = ", old_line), re.split(r",| = ", new_line)
+        if len(old_fields) != len(new_fields):
+            return f"line {lineno} has {len(new_fields)} fields, reference had {len(old_fields)}"
+        for a, b in zip(old_fields, new_fields):
+            try:
+                worst = max(worst, abs(float(a) - float(b)))
+            except ValueError:  # a header, a key or a name
+                if a != b:
+                    return f"line {lineno}: {b!r} where the reference had {a!r}"
+    return f"{worst:.3g}"
+
+
 def main() -> int:
     digests = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -42,14 +65,21 @@ def main() -> int:
             if cli.main(["preset", name, "--out", str(out)]) != 0:
                 return 1
             target = HERE / name
+            old = {path.name: path.read_text() for path in target.glob("*")}
             shutil.rmtree(target, ignore_errors=True)
             target.mkdir()
             for path in sorted(out.iterdir()):
                 text = sample(path) if path.suffix == ".csv" else path.read_text()
                 (target / path.name).write_text(text, newline="\n")
+                change = deviation(old[path.name], text) if path.name in old else "new file"
+                print(f"{name}/{path.name}: largest |deviation| {change}")
                 digests.append(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  "
                                f"{name}/{path.name}\n")
-    (HERE / "sha256.txt").write_text("".join(digests), newline="\n")
+    sha = HERE / "sha256.txt"
+    old_digests = set(sha.read_text().splitlines()) if sha.exists() else set()
+    sha.write_text("".join(digests), newline="\n")
+    changed = sum(line.rstrip("\n") not in old_digests for line in digests)
+    print(f"sha256.txt: {changed} of {len(digests)} digests changed")
     return 0
 
 

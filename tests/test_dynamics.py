@@ -69,6 +69,9 @@ def test_evolve_rejects_bad_inputs():
         evolve(np.eye(2, dtype=complex), h, rs, t_max=1.0)  # trace 2
     with pytest.raises(DomainError):
         evolve(all_excited(2), h, rs, t_max=1.0)  # wrong dimension
+    for record_every in (0, -1, 2.5):
+        with pytest.raises(DomainError, match="record_every must be an integer >= 1"):
+            evolve(all_excited(1), h, rs, t_max=1.0, record_every=record_every)
 
 
 def test_generator_and_evolve_take_the_energies_only():
@@ -541,29 +544,58 @@ def test_failure_order_matches_per_record_checks(monkeypatch):
     assert err.value.step == 0
 
 
-def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
-    # with _BATCH_ENTRIES = 1 every snapshot is evaluated as soon as it is
-    # taken; a record's numbers depend on its batch at the rounding level only
+def _snapshot_cases():
+    # fig2's N = 6 sector and the counter wedges, as the benchmark runs them,
+    # and a 200-block sector, whose generator and functionals are CSR
     frame = FrameConfig(a=2.0)
     six = [AtomSpec(omega=1.0, alpha=2.0)] * 6
     wedge_i = [AtomSpec(omega=1.0, alpha=2.0)] * 2
     wedge_ii = [AtomSpec(omega=1.0, alpha=2.0, wedge="II")] * 2
-    # fig2's N = 6 sector and the counter wedges, as the benchmark runs them
-    cases = [(all_excited(6), build_hamiltonian(six, frame), same_wedge_rates(frame, six),
-              0.005, 10, (0, 1)),
-             (all_ground(4), None, cross_wedge_rates(frame, wedge_i, wedge_ii), 0.001, 1, (0, 2))]
+    seven = ([AtomSpec(omega=1.0, alpha=2.0)] * 3 + [AtomSpec(omega=1.0, alpha=2.6)] * 2
+             + [AtomSpec(omega=1.0, alpha=3.1)] * 2)
+    return [(all_excited(6), build_hamiltonian(six, frame), same_wedge_rates(frame, six),
+             2.0, 0.005, 10, (0, 1)),
+            (all_ground(4), None, cross_wedge_rates(frame, wedge_i, wedge_ii),
+             2.0, 0.001, 1, (0, 2)),
+            (product_state("egegege"), build_hamiltonian(seven, frame),
+             same_wedge_rates(frame, seven), 0.5, 0.005, 5, (0, 3))]
 
-    def run(rho0, h, rs, dt, record_every, pair):
-        return evolve(rho0, h, rs, t_max=2.0, dt=dt, record_every=record_every,
-                      concurrence_pair=pair)
 
-    batched = [run(*case) for case in cases]
+def _run_case(rho0, h, rs, t_max, dt, record_every, pair):
+    return evolve(rho0, h, rs, t_max=t_max, dt=dt, record_every=record_every,
+                  concurrence_pair=pair)
+
+
+def test_each_state_is_snapshotted_once(monkeypatch):
+    # a step that is both a record and a check (every 100 steps, and the
+    # last) reaches RecordMap.min_eig once: 41 rows, not 45, for fig2's
+    # N = 6 run, and 2001, not 2021, for the counter wedges recorded every step
+    rows = []
+    min_eig = RecordMap.min_eig
+
+    def counted(self, U):
+        rows.append(len(U))
+        return min_eig(self, U)
+
+    monkeypatch.setattr(RecordMap, "min_eig", counted)
+    for case, expected in zip(_snapshot_cases(), (41, 2001)):
+        rows.clear()
+        assert len(_run_case(*case).times) == expected
+        assert sum(rows) == expected
+
+
+def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
+    # with _BATCH_ENTRIES = 1 every snapshot is evaluated as soon as it is
+    # taken; each record is evaluated on its own, so its numbers do not
+    # depend on its batch, on a dense sector or a CSR one
+    cases = _snapshot_cases()
+    batched = [_run_case(*case) for case in cases]
     monkeypatch.setattr(dynamics, "_BATCH_ENTRIES", 1)
-    for case, whole in zip(cases, batched):
-        alone = run(*case)
-        assert len(alone.times) == (41 if case[4] == 10 else 2001)
+    for case, whole, expected in zip(cases, batched, (41, 2001, 21)):
+        alone = _run_case(*case)
+        assert len(alone.times) == expected
         assert np.array_equal(alone.times, whole.times)
-        assert np.abs(alone.records - whole.records).max() < 1e-13
+        assert np.array_equal(alone.records, whole.records)
     # the failures of the two tests above keep their message and step
     frame, atoms, rs, h = resonant_system(2)
     for t_max, dt, record_every, message, step in (
