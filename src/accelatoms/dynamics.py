@@ -144,7 +144,7 @@ def _concurrence_core(rho2: np.ndarray):
 
 class RecordMap:
     """The recorded observables of a state on `sector` as linear maps of its
-    block vector u, and the row blocks of rho for its lowest eigenvalue.
+    block vector u, and the row-block quotients of rho for its lowest eigenvalue.
 
     The rows of W are P_1..P_N, Tr rho, <sigma_j^+ sigma_l^-> for j < l and,
     when `pair` is given, the 16 entries of the pair's reduced state in
@@ -172,7 +172,28 @@ class RecordMap:
         self.n_atoms = n
         self.W = sector.functionals(np.array(weights))
         self.emission = sector.emission
-        self.blocks = sector.row_blocks()
+        # Within a component of rho's rows, rows with equal label rows are
+        # equal rows of rho and, through block_swap, equal columns, whatever u
+        # is: the component's s x s block is E C E^T, with C on one
+        # representative row per class (the first) and E the s x m class
+        # membership. Its spectrum is that of D^1/2 C D^1/2 (D the class
+        # sizes) and s - m exact zeros. Per (s, m): the representatives'
+        # entries (count, m, m) and D^1/2 x D^1/2, or None where m == s, whose
+        # entries are the row blocks themselves.
+        self.quotients = []
+        for idx in sector.row_blocks():
+            count, s, _ = idx.shape
+            keys = np.hstack((np.arange(count).repeat(s)[:, None], idx.reshape(-1, s)))
+            _, first, cls, size = np.unique(keys, axis=0, return_index=True,
+                                            return_inverse=True, return_counts=True)
+            rep = (first[cls] == np.arange(count * s)).reshape(count, s)  # first of its class
+            classes = rep.sum(axis=1)
+            for m in np.flatnonzero(np.bincount(classes)):
+                comp = np.flatnonzero(classes == m)[:, None]
+                at = np.nonzero(rep[comp[:, 0]])[1].reshape(-1, m)
+                w = np.sqrt(size[cls].reshape(count, s)[comp, at])
+                self.quotients.append((idx[comp[:, :, None], at[:, :, None], at[:, None, :]],
+                                       w[:, :, None] * w[:, None, :] if m < s else None))
 
     def linear(self, U: np.ndarray):
         """(populations, traces, correlations <sigma_j^+ sigma_l^->, reduced
@@ -189,10 +210,18 @@ class RecordMap:
 
     def min_eig(self, U: np.ndarray) -> np.ndarray:
         """Lowest eigenvalue of rho for each block vector in the rows of U,
-        from one stacked eigvalsh per row-block size."""
+        from one stacked eigvalsh per (row-block size, row classes): on the
+        m x m quotients D^1/2 C D^1/2 of a lumped block, with its s - m exact
+        zeros as min(., 0), and on the row blocks themselves where every row
+        is its own class."""
         U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
-        return np.min([np.linalg.eigvalsh(U0[:, idx]).min(axis=(1, 2))
-                       for idx in self.blocks], axis=0)
+        lows = []
+        for q, scale in self.quotients:
+            if scale is None:
+                lows.append(np.linalg.eigvalsh(U0[:, q]).min(axis=(1, 2)))
+            else:
+                lows.append(np.minimum(np.linalg.eigvalsh(U0[:, q] * scale).min(axis=(1, 2)), 0.0))
+        return np.min(lows, axis=0)
 
 
 def check_step(H: np.ndarray | None, rates: RateSet, dt: float,
@@ -226,11 +255,17 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     energies of `build_hamiltonian`, or None for the interaction picture.
 
     The state is kept as the block vector u of the lumped sector of rho0
-    (`LindbladGenerator.sector`); a step costs four products with its L_hat.
-    The state is re-Hermitized and trace-renormalized after every step (drift
-    is logged in max_trace_drift). Observables are recorded every
+    (`LindbladGenerator.sector`). Observables are recorded every
     `record_every` (an integer >= 1) steps and at the final time, and
-    invariants are hard-checked every 100 steps. Each such state is
+    invariants are hard-checked every 100 steps; these steps are the events.
+    On a dense L_hat (at most 128 blocks) u goes from event to event by one
+    product with P^k, P = T4(dt L_hat) the RK4 step and k the steps between
+    the events, and is re-Hermitized and trace-renormalized at each event.
+    The trace after every step is still checked, from the rows
+    diag_count P^j; max_trace_drift is the largest drift accumulated within
+    an event interval. A CSR L_hat is stepped one RK4 step (four products) at
+    a time and re-Hermitized and renormalized after each, and max_trace_drift
+    is the largest drift of one step. Each event's state is
     snapshotted once; the snapshots are evaluated together through a
     `RecordMap` every 100 steps, at the end and before a trace-drift error,
     each on its own, so that a record does not depend on its batch. Each
@@ -239,12 +274,14 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     invalid reduced pair state; the earliest failing state raises its first
     failing check as IntegrationError, naming its step.
     """
-    if dt <= 0:
-        raise DomainError(f"dt must be > 0, got {dt}")
-    if t_max < 0:
-        raise DomainError(f"t_max must be >= 0, got {t_max}")
+    if not (dt > 0 and math.isfinite(dt)):
+        raise DomainError(f"dt must be finite and > 0, got {dt}")
+    if not (t_max >= 0 and math.isfinite(t_max)):
+        raise DomainError(f"t_max must be finite and >= 0, got {t_max}")
     if not isinstance(record_every, (int, np.integer)) or record_every < 1:
         raise DomainError(f"record_every must be an integer >= 1, got {record_every!r}")
+    if not math.isfinite(t_max / dt):
+        raise DomainError(f"t_max / dt = {t_max / dt} is not a finite number of steps")
     nsteps = round(t_max / dt)
     if abs(t_max / dt - nsteps) > 1e-9 * nsteps:
         raise DomainError(f"t_max = {t_max} is not a whole number of steps dt = {dt}")
@@ -253,9 +290,11 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     rho = np.array(rho0, dtype=complex)
     check_density_matrix(rho)
     if n >= 2:
-        pair = concurrence_pair
-        if pair[0] == pair[1] or not all(0 <= p < n for p in pair):
-            raise DomainError(f"concurrence_pair {pair} invalid for {n} atoms")
+        pair = tuple(concurrence_pair)
+        if (len(pair) != 2 or pair[0] == pair[1]
+                or not all(isinstance(p, (int, np.integer)) and 0 <= p < n for p in pair)):
+            raise DomainError(f"concurrence_pair {concurrence_pair} must be two distinct "
+                              f"atom indices < {n}")
     else:
         pair = None
     check_step(H, rates, dt, cross_pairing)
@@ -263,6 +302,43 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     sector = gen.sector(rho)
     u = sector.gather(rho)
     record_map = RecordMap(sector, n, pair)
+    L_hat, swap, diag_count = sector.L_hat, sector.block_swap, sector.diag_count
+    dense = isinstance(L_hat, np.ndarray)
+    if dense:
+        # a step is the fixed matrix P = T4(dt L_hat): the Horner form applied
+        # to the identity, each column one step of a unit vector (check_step);
+        # the traces after j = 1..k steps from u are trace_rows[:k] @ u
+        eye = np.eye(len(swap))
+        P = eye
+        for c in horner:
+            P = eye + c * (L_hat @ P)
+        trace_rows = np.empty((min(record_every, _CHECK_EVERY, nsteps), len(swap)), dtype=complex)
+        row = diag_count
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its trace
+            for j in range(len(trace_rows)):
+                row = trace_rows[j] = row @ P
+        powers = {}  # P^k for each distance k between two events
+
+    def advance(u, k):
+        """The state k steps on from u, before its Hermitization and
+        renormalization, and the traces of the Hermitized states after each of
+        the steps: one product with P^k on a dense L_hat; on a CSR one, k RK4
+        steps, each Hermitized and renormalized before the next, stopping at
+        the first trace beyond _TRACE_HARD."""
+        if dense:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if k not in powers:
+                    powers[k] = np.linalg.matrix_power(P, k)
+                return powers[k] @ u, (trace_rows[:k] @ u).real
+        traces = np.empty(k)
+        for j in range(k):
+            w = u
+            for c in horner:
+                w = u + c * (L_hat @ w)
+            traces[j] = (diag_count @ w).real
+            if j == k - 1 or not abs(traces[j] - 1.0) <= _TRACE_HARD:
+                return w, traces[:j + 1]
+            u = (w + w[swap].conj()) * (0.5 / float(traces[j]))
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
@@ -303,26 +379,29 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         if states is not None:
             states.extend(sector.scatter(v) for v in U[is_record])
 
-    for step in range(nsteps + 1):
-        if step:
-            w = u
-            for c in horner:
-                w = u + c * (sector.L_hat @ w)
-            u = w
-            # the Hermitized state has the trace Re(sum of the diagonal entries)
-            tr = float((sector.diag_count @ u).real)
-            if not math.isfinite(tr) or abs(tr - 1.0) > _TRACE_HARD:
-                evaluate()  # an earlier snapshot's failure comes first
-                raise IntegrationError(f"trace drift {abs(tr - 1.0):.3e} beyond hard "
-                                       f"tolerance {_TRACE_HARD}", step=step)
-            max_drift = max(max_drift, abs(tr - 1.0))
-            u = (u + u[sector.block_swap].conj()) * (0.5 / tr)
+    step = 0
+    while True:  # from event to event: the records, the checks and the last step
         is_record = step % record_every == 0 or step == nsteps
         is_check = (step > 0 and step % _CHECK_EVERY == 0) or step == nsteps  # step 0 is a record
-        if is_record or is_check:  # one snapshot per state
-            pending.append((step, is_record, u))
-            if is_check or len(pending) * len(u) >= _BATCH_ENTRIES:
-                evaluate()
+        pending.append((step, is_record, u))  # one snapshot per state
+        if is_check or len(pending) * len(u) >= _BATCH_ENTRIES:
+            evaluate()
+        if step == nsteps:
+            break
+        k = min(record_every - step % record_every, _CHECK_EVERY - step % _CHECK_EVERY,
+                nsteps - step)
+        w, traces = advance(u, k)
+        # the Hermitized state has the trace Re(sum of the diagonal entries)
+        drift = np.abs(traces - 1.0)
+        worst = float(drift.max())
+        if not worst <= _TRACE_HARD:  # a non-finite trace too
+            j = int((~(drift <= _TRACE_HARD)).argmax())
+            evaluate()  # an earlier snapshot's failure comes first
+            raise IntegrationError(f"trace drift {drift[j]:.3e} beyond hard tolerance "
+                                   f"{_TRACE_HARD}", step=step + j + 1)
+        max_drift = max(max_drift, worst)
+        u = (w + w[swap].conj()) * (0.5 / float(traces[-1]))
+        step += k
 
     return TimeSeries(times=np.array(times), columns=columns, records=np.concatenate(rows),
                       states=states, max_trace_drift=max_drift)

@@ -72,6 +72,15 @@ def test_evolve_rejects_bad_inputs():
     for record_every in (0, -1, 2.5):
         with pytest.raises(DomainError, match="record_every must be an integer >= 1"):
             evolve(all_excited(1), h, rs, t_max=1.0, record_every=record_every)
+    for t_max, dt in ((float("nan"), 1e-3), (float("inf"), 1e-3), (1.0, float("nan"))):
+        with pytest.raises(DomainError, match="must be finite"):
+            evolve(all_excited(1), h, rs, t_max=t_max, dt=dt)
+    with pytest.raises(DomainError, match="not a finite number of steps"):
+        evolve(all_excited(1), h, rs, t_max=1.0, dt=1e-320)
+    frame, atoms, rs, h = resonant_system(3)
+    for pair in ((0, 1, 2), (0,), (1, 1), (0, 3)):
+        with pytest.raises(DomainError, match="must be two distinct atom indices < 3"):
+            evolve(all_excited(3), h, rs, t_max=1.0, concurrence_pair=pair)
 
 
 def test_generator_and_evolve_take_the_energies_only():
@@ -497,6 +506,67 @@ def test_blockwise_min_eig_matches_full_eigvalsh():
                                           for s in ts.states]).max() < 1e-13
     assert np.abs(ts.column("min_eig") - [np.linalg.eigvalsh(s).min()
                                            for s in ts.states]).max() < 1e-13
+
+
+def test_min_eig_takes_the_row_quotient(monkeypatch):
+    # fig2's N = 6 Dicke sector: every row block is constant, so each is one
+    # 1 x 1 quotient and exact zeros; an unlumped sector (fig4 case_b, six
+    # distinct atoms) keeps the stacked eigvalsh of its row blocks, bit for bit
+    rng = np.random.default_rng(43)
+    seen = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        seen.append(a.shape[-2:])
+        return eigvalsh(a)
+
+    dicke, unlumped = _record_map_cases()[:2]
+    for (rho0, h, rs, pairing, pair), lumped in ((dicke, True), (unlumped, False)):
+        sector = LindbladGenerator(h, rs, pairing).sector(rho0)
+        record_map = RecordMap(sector, rs.n_atoms, pair)
+        U = np.array([_random_block_state(sector, rng) for _ in range(4)])
+        seen.clear()
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", spy)
+            low = record_map.min_eig(U)
+        if lumped:
+            assert seen and max(seen) == (1, 1)
+        else:
+            U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
+            expected = np.min([eigvalsh(U0[:, idx]).min(axis=(1, 2))
+                               for idx in sector.row_blocks()], axis=0)
+            assert np.array_equal(low, expected)
+
+
+def _per_step_states(sector, u, dt, nsteps, record_every):
+    # the RK4 step in Horner form, one step at a time, each state Hermitized
+    # and renormalized; the states at the records
+    states = []
+    for step in range(nsteps + 1):
+        if step % record_every == 0 or step == nsteps:
+            states.append(sector.scatter(u))
+        w = u
+        for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt):
+            w = u + c * (sector.L_hat @ w)
+        u = (w + w[sector.block_swap].conj()) * (0.5 / (sector.diag_count @ w).real)
+    return states
+
+
+def test_event_intervals_match_per_step_rk4():
+    # a dense sector is advanced from event to event (the records, the checks
+    # every 100 steps, the last step): every 7 steps gives the distances 7,
+    # 2, 5 and 1, every 1000 steps the distance 100
+    for rho0, h, rs, t_max, dt, _, pair in _snapshot_cases()[:2]:
+        sector = LindbladGenerator(h, rs).sector(rho0)
+        assert isinstance(sector.L_hat, np.ndarray)
+        nsteps = 400
+        for record_every in (7, 1000):
+            ts = evolve(rho0, h, rs, t_max=nsteps * dt, dt=dt, record_every=record_every,
+                        retain_states=True, concurrence_pair=pair)
+            expected = _per_step_states(sector, sector.gather(rho0), dt, nsteps, record_every)
+            assert len(ts.states) == len(expected) == -(-nsteps // record_every) + 1
+            assert max(np.abs(s - e).max() for s, e in zip(ts.states, expected)) < 1e-12
+            assert ts.max_trace_drift < 1e-12
 
 
 def test_integration_error_counts_the_steps_taken():
