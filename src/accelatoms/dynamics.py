@@ -178,22 +178,29 @@ class RecordMap:
         # representative row per class (the first) and E the s x m class
         # membership. Its spectrum is that of D^1/2 C D^1/2 (D the class
         # sizes) and s - m exact zeros. Per (s, m): the representatives'
-        # entries (count, m, m) and D^1/2 x D^1/2, or None where m == s, whose
-        # entries are the row blocks themselves.
+        # entries (count, m, m), D^1/2 x D^1/2 and the cap 0 on the lowest
+        # eigenvalue; where m == s the entries are the row blocks themselves,
+        # with scale 1 and no cap.
         self.quotients = []
         for idx in sector.row_blocks():
             count, s, _ = idx.shape
-            keys = np.hstack((np.arange(count).repeat(s)[:, None], idx.reshape(-1, s)))
-            _, first, cls, size = np.unique(keys, axis=0, return_index=True,
-                                            return_inverse=True, return_counts=True)
+            # the rows sorted stably by (component, label row); a class starts
+            # where the key changes, and its first row is its representative
+            keys = np.vstack((idx.reshape(-1, s).T[::-1], np.arange(count).repeat(s)))
+            order = np.lexsort(keys)
+            start = np.concatenate(([True], (np.diff(keys[:, order]) != 0).any(axis=0)))
+            cls = np.empty(count * s, dtype=np.intp)
+            cls[order] = np.cumsum(start) - 1
+            first, size = order[start], np.bincount(cls)
             rep = (first[cls] == np.arange(count * s)).reshape(count, s)  # first of its class
             classes = rep.sum(axis=1)
             for m in np.flatnonzero(np.bincount(classes)):
                 comp = np.flatnonzero(classes == m)[:, None]
                 at = np.nonzero(rep[comp[:, 0]])[1].reshape(-1, m)
                 w = np.sqrt(size[cls].reshape(count, s)[comp, at])
+                scale, cap = (w[:, :, None] * w[:, None, :], 0.0) if m < s else (1.0, np.inf)
                 self.quotients.append((idx[comp[:, :, None], at[:, :, None], at[:, None, :]],
-                                       w[:, :, None] * w[:, None, :] if m < s else None))
+                                       scale, cap))
 
     def linear(self, U: np.ndarray):
         """(populations, traces, correlations <sigma_j^+ sigma_l^->, reduced
@@ -213,14 +220,13 @@ class RecordMap:
         from one stacked eigvalsh per (row-block size, row classes): on the
         m x m quotients D^1/2 C D^1/2 of a lumped block, with its s - m exact
         zeros as min(., 0), and on the row blocks themselves where every row
-        is its own class."""
+        is its own class. A 1 x 1 quotient is its own eigenvalue."""
         U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
         lows = []
-        for q, scale in self.quotients:
-            if scale is None:
-                lows.append(np.linalg.eigvalsh(U0[:, q]).min(axis=(1, 2)))
-            else:
-                lows.append(np.minimum(np.linalg.eigvalsh(U0[:, q] * scale).min(axis=(1, 2)), 0.0))
+        for q, scale, cap in self.quotients:
+            C = U0[:, q] * scale
+            eig = C[..., 0].real if C.shape[-1] == 1 else np.linalg.eigvalsh(C)
+            lows.append(np.minimum(eig.min(axis=(1, 2)), cap))
         return np.min(lows, axis=0)
 
 
@@ -258,21 +264,19 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     (`LindbladGenerator.sector`). Observables are recorded every
     `record_every` (an integer >= 1) steps and at the final time, and
     invariants are hard-checked every 100 steps; these steps are the events.
-    On a dense L_hat (at most 128 blocks) u goes from event to event by one
-    product with P^k, P = T4(dt L_hat) the RK4 step and k the steps between
-    the events, and is re-Hermitized and trace-renormalized at each event.
-    The trace after every step is still checked, from the rows
+    u goes from event to event by k = (steps between them) RK4 steps P =
+    T4(dt L_hat), with no correction in between, and is re-Hermitized and
+    trace-renormalized at each event. On a dense L_hat (at most 128 blocks)
+    the k steps are one product with a cached P^k, on a CSR one k Horner
+    steps. The trace after every step is still checked, from the rows
     diag_count P^j; max_trace_drift is the largest drift accumulated within
-    an event interval. A CSR L_hat is stepped one RK4 step (four products) at
-    a time and re-Hermitized and renormalized after each, and max_trace_drift
-    is the largest drift of one step. Each event's state is
-    snapshotted once; the snapshots are evaluated together through a
-    `RecordMap` every 100 steps, at the end and before a trace-drift error,
-    each on its own, so that a record does not depend on its batch. Each
-    state is checked for, in order, a non-finite entry, a trace error, an
-    eigenvalue below the floor, then, on records, a negative population and an
-    invalid reduced pair state; the earliest failing state raises its first
-    failing check as IntegrationError, naming its step.
+    an event interval. Each event's state is snapshotted once; the snapshots
+    are evaluated together through a `RecordMap` every 100 steps, at the end
+    and before a trace-drift error, each on its own, so that a record does not
+    depend on its batch. Each state is checked for, in order, a non-finite
+    entry, a trace error, an eigenvalue below the floor, then, on records, a
+    negative population and an invalid reduced pair state; the earliest failing
+    state raises its first failing check as IntegrationError, naming its step.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise DomainError(f"dt must be finite and > 0, got {dt}")
@@ -298,47 +302,28 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     else:
         pair = None
     check_step(H, rates, dt, cross_pairing)
-    horner = (dt / 4.0, dt / 3.0, dt / 2.0, dt)  # RK4 in Horner form (check_step)
     sector = gen.sector(rho)
     u = sector.gather(rho)
     record_map = RecordMap(sector, n, pair)
-    L_hat, swap, diag_count = sector.L_hat, sector.block_swap, sector.diag_count
+    L_hat, swap = sector.L_hat, sector.block_swap
     dense = isinstance(L_hat, np.ndarray)
-    if dense:
-        # a step is the fixed matrix P = T4(dt L_hat): the Horner form applied
-        # to the identity, each column one step of a unit vector (check_step);
-        # the traces after j = 1..k steps from u are trace_rows[:k] @ u
-        eye = np.eye(len(swap))
-        P = eye
-        for c in horner:
-            P = eye + c * (L_hat @ P)
-        trace_rows = np.empty((min(record_every, _CHECK_EVERY, nsteps), len(swap)), dtype=complex)
-        row = diag_count
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its trace
-            for j in range(len(trace_rows)):
-                row = trace_rows[j] = row @ P
-        powers = {}  # P^k for each distance k between two events
 
-    def advance(u, k):
-        """The state k steps on from u, before its Hermitization and
-        renormalization, and the traces of the Hermitized states after each of
-        the steps: one product with P^k on a dense L_hat; on a CSR one, k RK4
-        steps, each Hermitized and renormalized before the next, stopping at
-        the first trace beyond _TRACE_HARD."""
-        if dense:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if k not in powers:
-                    powers[k] = np.linalg.matrix_power(P, k)
-                return powers[k] @ u, (trace_rows[:k] @ u).real
-        traces = np.empty(k)
-        for j in range(k):
-            w = u
-            for c in horner:
-                w = u + c * (L_hat @ w)
-            traces[j] = (diag_count @ w).real
-            if j == k - 1 or not abs(traces[j] - 1.0) <= _TRACE_HARD:
-                return w, traces[:j + 1]
-            u = (w + w[swap].conj()) * (0.5 / float(traces[j]))
+    def rk4(v, apply=lambda w: L_hat @ w):
+        # the step P = T4(dt L_hat) of each column of v, in Horner form (check_step)
+        w = v
+        for c in (dt / 4.0, dt / 3.0, dt / 2.0, dt):
+            w = v + c * apply(w)
+        return w
+
+    # P is a polynomial in L_hat, so the row diag_count steps by the same
+    # Horner form: the traces after j = 1..k steps from u are trace_rows[:k] @ u
+    trace_rows = np.empty((min(record_every, _CHECK_EVERY, nsteps), len(swap)), dtype=complex)
+    row = sector.diag_count
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its trace
+        for j in range(len(trace_rows)):
+            row = trace_rows[j] = rk4(row, lambda w: w @ L_hat)
+    if dense:  # each column of P is one step of a unit vector (check_step)
+        P, powers = rk4(np.eye(len(swap))), {}  # P^k for each distance k between events
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
@@ -390,8 +375,18 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
             break
         k = min(record_every - step % record_every, _CHECK_EVERY - step % _CHECK_EVERY,
                 nsteps - step)
-        w, traces = advance(u, k)
-        # the Hermitized state has the trace Re(sum of the diagonal entries)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # only how u crosses the interval depends on L_hat: the traces of
+            # the Hermitized states after each step are Re(trace_rows[:k] @ u)
+            traces = (trace_rows[:k] @ u).real
+            if dense:
+                if k not in powers:
+                    powers[k] = np.linalg.matrix_power(P, k)
+                w = powers[k] @ u
+            else:
+                w = u
+                for _ in range(k):
+                    w = rk4(w)
         drift = np.abs(traces - 1.0)
         worst = float(drift.max())
         if not worst <= _TRACE_HARD:  # a non-finite trace too

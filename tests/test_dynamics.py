@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError, dynamics
+from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError, dynamics, liouvillian
 from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_measure,
                                  concurrence, correlation_oracle, evolve, partial_trace,
                                  population, populations, product_state, total_emission_rate)
@@ -510,8 +510,9 @@ def test_blockwise_min_eig_matches_full_eigvalsh():
 
 def test_min_eig_takes_the_row_quotient(monkeypatch):
     # fig2's N = 6 Dicke sector: every row block is constant, so each is one
-    # 1 x 1 quotient and exact zeros; an unlumped sector (fig4 case_b, six
-    # distinct atoms) keeps the stacked eigvalsh of its row blocks, bit for bit
+    # 1 x 1 quotient, read without LAPACK, and exact zeros; an unlumped sector
+    # (fig4 case_b, six distinct atoms) keeps the stacked eigvalsh of its row
+    # blocks, bit for bit
     rng = np.random.default_rng(43)
     seen = []
     eigvalsh = np.linalg.eigvalsh
@@ -530,7 +531,7 @@ def test_min_eig_takes_the_row_quotient(monkeypatch):
             m.setattr(np.linalg, "eigvalsh", spy)
             low = record_map.min_eig(U)
         if lumped:
-            assert seen and max(seen) == (1, 1)
+            assert not seen
         else:
             U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
             expected = np.min([eigvalsh(U0[:, idx]).min(axis=(1, 2))
@@ -552,31 +553,47 @@ def _per_step_states(sector, u, dt, nsteps, record_every):
     return states
 
 
-def test_event_intervals_match_per_step_rk4():
-    # a dense sector is advanced from event to event (the records, the checks
-    # every 100 steps, the last step): every 7 steps gives the distances 7,
-    # 2, 5 and 1, every 1000 steps the distance 100
+def test_event_intervals_match_per_step_rk4(monkeypatch):
+    # u is advanced from event to event (the records, the checks every 100
+    # steps, the last step): every 7 steps gives the distances 7, 2, 5 and 1,
+    # every 1000 steps the distance 100. A dense sector takes one product with
+    # P^k, a CSR one (every sector, with _DENSE_BLOCKS = 0) k steps; both give
+    # the per-step states and the same records
+    nsteps, dense_limit = 400, liouvillian._DENSE_BLOCKS
     for rho0, h, rs, t_max, dt, _, pair in _snapshot_cases()[:2]:
-        sector = LindbladGenerator(h, rs).sector(rho0)
-        assert isinstance(sector.L_hat, np.ndarray)
-        nsteps = 400
         for record_every in (7, 1000):
-            ts = evolve(rho0, h, rs, t_max=nsteps * dt, dt=dt, record_every=record_every,
-                        retain_states=True, concurrence_pair=pair)
-            expected = _per_step_states(sector, sector.gather(rho0), dt, nsteps, record_every)
-            assert len(ts.states) == len(expected) == -(-nsteps // record_every) + 1
-            assert max(np.abs(s - e).max() for s, e in zip(ts.states, expected)) < 1e-12
-            assert ts.max_trace_drift < 1e-12
+            runs = []
+            for dense_blocks in (dense_limit, 0):
+                monkeypatch.setattr(liouvillian, "_DENSE_BLOCKS", dense_blocks)
+                sector = LindbladGenerator(h, rs).sector(rho0)
+                assert isinstance(sector.L_hat, np.ndarray) == (dense_blocks > 0)
+                ts = evolve(rho0, h, rs, t_max=nsteps * dt, dt=dt, record_every=record_every,
+                            retain_states=True, concurrence_pair=pair)
+                expected = _per_step_states(sector, sector.gather(rho0), dt, nsteps,
+                                            record_every)
+                assert len(ts.states) == len(expected) == -(-nsteps // record_every) + 1
+                assert max(np.abs(s - e).max() for s, e in zip(ts.states, expected)) < 1e-12
+                assert ts.max_trace_drift < 1e-12
+                runs.append(ts)
+            dense, csr_run = runs
+            assert np.array_equal(dense.times, csr_run.times)
+            assert np.abs(dense.records - csr_run.records).max() < 1e-12
 
 
-def test_integration_error_counts_the_steps_taken():
+def test_integration_error_counts_the_steps_taken(monkeypatch):
     # every failure names its state by the steps taken to reach it, the state
-    # at time step * dt, whichever check finds it
+    # at time step * dt, whichever check finds it; a CSR sector (every sector,
+    # with _DENSE_BLOCKS = 0) fails at the same step with the same message
     frame, atoms, rs, h = resonant_system(2)
 
     def failure(t_max, dt):
         with pytest.raises(IntegrationError) as err:
             evolve(all_excited(2), h, rs, t_max=t_max, dt=dt, record_every=1000)
+        with monkeypatch.context() as m:
+            m.setattr(liouvillian, "_DENSE_BLOCKS", 0)
+            with pytest.raises(IntegrationError) as csr_err:
+                evolve(all_excited(2), h, rs, t_max=t_max, dt=dt, record_every=1000)
+        assert (csr_err.value.step, csr_err.value.message) == (err.value.step, err.value.message)
         return err.value
 
     # the hard check every 100 steps, and the final check of a 99-step run
