@@ -23,6 +23,14 @@ import numpy as np
 from .errors import ConfigError, DivergenceError, DomainError, NoRootError
 from .kinematics import AtomSpec, FrameConfig
 
+# The largest h sqrt(2 M V0) / pi of a design's bound-state grid: its spacing h
+# over pi / sqrt(2 M V0), the shortest local half wavelength, at the bottom of
+# the well. On 4700 random cells, counts on 1501 points agree with counts on
+# 6001 within one state (a state at threshold) below 0.3, and differ by up to
+# 5 between 0.3 and 0.5 and by up to 24 between 0.5 and 1; beyond that the
+# count is the grid's, not the well's. The bec_design preset reaches 0.086.
+GRID_RESOLUTION_MAX = 0.25
+
 
 @dataclass(frozen=True)
 class BogoliubovBath:
@@ -121,10 +129,10 @@ def _negative_pivots(diagonals, off_sq: np.ndarray) -> np.ndarray:
     return count
 
 
-def bound_state_grid(V0, w, M, grid_points: int = 1501):
-    """The finite-difference grid that `bound_state_counts` reads for arrays
-    of (V0, w, M) cells, broadcast: (V0, w, closed-form count, half box width,
-    spacing h, kinetic term 1/(2 M h^2)), one value per cell each.
+def _grid(V0, w, M, grid_points: int):
+    """The finite-difference grid of (V0, w, M) cells, broadcast: (V0, w, M,
+    closed-form count, half box width, spacing h, kinetic term 1/(2 M h^2)),
+    one value per cell each.
 
     Raises DivergenceError unless every closed form fits an int64 and
     1/(2 M h^2), squared too, is a positive finite float.
@@ -145,6 +153,27 @@ def bound_state_grid(V0, w, M, grid_points: int = 1501):
     if not (np.all(estimate < 2.0**63) and np.all((0.0 < off_sq) & (off_sq < math.inf))):
         raise DivergenceError("bound-state grid outside the float range: a closed-form "
                               "count beyond int64, or 1/(2 M h^2) over- or underflows")
+    return V0, w, M, estimate, half_width, h, kin
+
+
+def bound_state_grid(V0, w, M, grid_points: int = 1501):
+    """The finite-difference grid of a design's bound-state counts for arrays
+    of (V0, w, M) cells, broadcast: (V0, w, closed-form count, half box width,
+    spacing h, kinetic term 1/(2 M h^2)), one value per cell each.
+
+    Raises DivergenceError unless every closed form fits an int64 and
+    1/(2 M h^2), squared too, is a positive finite float, and DomainError
+    where h sqrt(2 M V0) / pi exceeds GRID_RESOLUTION_MAX: there the grid
+    cannot resolve the deepest states, and a count would be the grid's.
+    """
+    V0, w, M, estimate, half_width, h, kin = _grid(V0, w, M, grid_points)
+    with np.errstate(over="ignore"):  # inf is refused
+        resolution = h * np.sqrt(2.0 * M * V0) / math.pi
+    worst = np.unravel_index(np.argmax(resolution), resolution.shape)
+    if not resolution[worst] <= GRID_RESOLUTION_MAX:
+        raise DomainError(f"bound-state grid too coarse for the well V0 = {V0[worst]:.6g}, "
+                          f"w = {w[worst]:.6g}: its spacing is {resolution[worst]:.3g} of the "
+                          f"shortest half wavelength, above {GRID_RESOLUTION_MAX}")
     return V0, w, estimate, half_width, h, kin
 
 
@@ -164,9 +193,11 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
     Counting every eigenvalue below 0 is counting those in (-2 V0, 0): the
     kinetic term is positive semidefinite, so no eigenvalue lies below the
     potential minimum -V0. Working memory is a few arrays of one value per
-    cell. The grid's float range is checked first (`bound_state_grid`).
+    cell. The grid's float range is checked first; whether it resolves the
+    wells is `bound_state_grid`'s check, which a design passes before it is
+    counted.
     """
-    V0, w, estimate, half_width, h, kin = bound_state_grid(V0, w, M, grid_points)
+    V0, w, _, estimate, half_width, h, kin = _grid(V0, w, M, grid_points)
 
     def diagonals():
         for i in range(grid_points - 1):

@@ -284,7 +284,8 @@ def expand_design(config: ScenarioConfig) -> DesignSpec:
 def _design_diagnostics(design: DesignSpec) -> list[str]:
     """What a bec_design run refuses before it writes: a variational width with
     no root in the window sweep (its condition is monotone in the waist, so the
-    end waists decide), the detector mapping, and a grid beyond the float range."""
+    end waists decide), the detector mapping, and a grid beyond the float range
+    or too coarse for its wells."""
     diags = []
     tw = design.tweezers[0]
     try:

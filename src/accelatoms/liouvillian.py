@@ -39,7 +39,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-from numpy.random import default_rng  # loaded with the module, not in a run's solve
+# loaded with the module, not in a run's solve
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import CapacityError, DomainError
 from .kinematics import AtomSpec, FrameConfig, kinematic_state
@@ -53,6 +54,7 @@ N_MAX_DENSE = 6            # atoms of the Kronecker oracle at most; 4^6 x 4^6 ta
 _ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
+_LUMP_SEED = SeedSequence(0)  # the weights of default_rng(0), without hashing the seed per call
 _DENSE_BLOCKS = 128        # at most this many columns, a dense product beats CSR dispatch
                            # (fig4 case_c submatrices: 4 against 9 us at 64, 7 against 10 at 128);
                            # only a matrix with more columns imports scipy.sparse
@@ -145,12 +147,15 @@ class Sector:
     blocks on which the generator acts exactly.
 
     The entries of a state on the pairs form the vector v = rho.ravel()[pairs]
-    with d v/dt = L @ v for the matrix L whose entries
-    `LindbladGenerator.restrict` gathers from its jump table. The pairs are
-    split into blocks such that, for any two pairs of a block, the row sums of
-    L into every block agree (exact lumpability). A state that is constant on
-    every block, v = u[labels], then stays so, with d u/dt = L_hat @ u. When
-    no two pairs merge, every pair is its own block and L_hat is L.
+    with d v/dt = L @ v for the matrix L of the generator on the pairs. The
+    pairs are split into blocks such that, for any two pairs of a block, the
+    row sums of L into every block agree (exact lumpability). A state that is
+    constant on every block, v = u[labels], then stays so, with
+    d u/dt = L_hat @ u. Each block is a union of orbits of the permutations
+    of interchangeable atoms, and L_hat is lumped from the orbit quotient that
+    `LindbladGenerator.restrict` gathers from its jump table, so L itself is
+    never assembled when two atoms are interchangeable. When no two pairs
+    merge, every pair is its own block and L_hat is L.
     """
 
     dim: int
@@ -202,6 +207,34 @@ class Sector:
             i = np.minimum(np.searchsorted(self.pairs, p), len(self.pairs) - 1)
             blocks.append(np.where(self.pairs[i] == p, self.labels[i], k))
         return blocks
+
+
+def _orbit_keys(dim: int, classes: Sequence[Sequence[int]]) -> np.ndarray:
+    """The orbit key of every pair index p = a * dim + b under the
+    permutations of the atoms within each class (classes of two or more
+    atoms): the pair of the orbit whose class atoms, in increasing order, are
+    of type 11 first, then 10, 01 and 00 (bit in a, bit in b). An orbit is
+    the per-class counts of the types, found by popcounts, so equal keys are
+    one orbit; an atom in no class keeps its bits. int32, in _ASSEMBLY_CHUNK
+    pairs at a time."""
+    keys = np.empty(dim * dim, dtype=np.int32)
+    bits = np.zeros((len(classes), max(map(len, classes)) + 1), dtype=np.int64)
+    for c, atoms in enumerate(classes):
+        bits[c, 1:len(atoms) + 1] = np.left_shift(1, atoms)
+    prefix = np.cumsum(bits, axis=1)  # prefix[c, k]: the bits of the first k atoms of class c
+    mask, outside = prefix[:, -1:], ~int(bits.sum())
+    rows = np.arange(len(classes))[:, None]
+    for start in range(0, dim * dim, _ASSEMBLY_CHUNK):
+        a, b = np.divmod(np.arange(start, min(start + _ASSEMBLY_CHUNK, dim * dim)), dim)
+        a_in, b_in = a & mask, b & mask  # per class and pair; the classes' bits are disjoint
+        n11 = np.bitwise_count(a_in & b_in)
+        n1x, nx1 = np.bitwise_count(a_in), np.bitwise_count(b_in)
+        excited = prefix[rows, n1x]  # types 11 and 10
+        a = (a & outside) | excited.sum(axis=0)
+        b = (b & outside) | (prefix[rows, n11] + prefix[rows, n1x + nx1 - n11]
+                             - excited).sum(axis=0)
+        keys[start:start + len(a)] = a * dim + b
+    return keys
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -259,15 +292,16 @@ def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
     scale = float(np.abs(vals).max()) if len(vals) else 0.0
     values, labels = np.unique(v, return_inverse=True)
     k = len(values)
-    rng = default_rng(0)  # other weights would renumber the blocks
+    rng = Generator(PCG64(_LUMP_SEED))  # other weights would renumber the blocks
     while k < m:
         weights = rng.random(k) + 1j * rng.random(k)
         signature = np.bincount(rows, (vals * weights[labels][cols]).real, m)
         swapped = labels[swap]
         order = np.lexsort((signature, swapped, labels))
         # equal signatures differ by rounding, far below the gap
-        cut = ((np.diff(labels[order]) != 0) | (np.diff(swapped[order]) != 0)
-               | (np.diff(signature[order]) > _LUMP_GAP * scale))
+        old, swapped, signature = labels[order], swapped[order], signature[order]
+        cut = ((old[1:] != old[:-1]) | (swapped[1:] != swapped[:-1])
+               | (signature[1:] - signature[:-1] > _LUMP_GAP * scale))
         blocks = int(cut.sum()) + 1
         if blocks == k:
             break
@@ -290,9 +324,12 @@ class LindbladGenerator:
     Terms with equal (f, g) merge into one jump of the table: f and g as int
     maps over the basis (dim where the product vanishes) and a weight. Jumps
     that leave the pair in place (H and the diagonal parts of the no-jump
-    terms) fold into one diagonal weight. `restrict` gathers the table once to
-    find the pairs reachable from a state and the entries of L on them, with
-    pair index p = a * dim + b (row-major in rho).
+    terms) fold into one diagonal weight. `restrict` gathers the table once at
+    one representative of each orbit of pairs to find the orbits reachable
+    from a state and the entries of the orbit quotient of L on them, with
+    pair index p = a * dim + b (row-major in rho); with every atom its own
+    class an orbit is one pair and the quotient is L. The table is 2^N rows
+    wide, so N is limited to about 12 by memory.
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -333,41 +370,92 @@ class LindbladGenerator:
         on_right = ~on_left & (fl == ident).all(1) & ((fr == ident) | (fr == dim)).all(1)
         self._left_diag = np.vstack((-1j * h, w[on_left, None] * (fl[on_left] != dim))).sum(0)
         self._right_diag = np.vstack((1j * h, w[on_right, None] * (fr[on_right] != dim))).sum(0)
+        self._K, self._h = K, h  # what an atom swap must leave equal (atom_classes)
         moves = ~(on_left | on_right)  # row x of _fl, _fr: x's image under every jump
         self._fl, self._fr, self._w = fl[moves].T.copy(), fr[moves].T.copy(), w[moves]
 
-    def restrict(self, support) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The sorted pair indices reachable from the pair indices `support`
-        (breadth-first over the jumps), which L leaves invariant, and the
-        entries (rows, cols, vals) of L on them, (L v)[k] being
-        d rho[pairs[k]]/dt: int32 indices, in row-major order. Each unfolded
-        jump flips a distinct set of bits and the diagonal none, so no
-        (row, col) repeats. Each pair's jumps are gathered once,
+    def atom_classes(self, rho: np.ndarray) -> list[list[int]]:
+        """The classes of interchangeable atoms of the generator with the state
+        rho, each in increasing order, ordered by their first atom. Atoms i and
+        j are interchangeable when swapping them leaves K (rows and columns
+        i <-> j and N+i <-> N+j), the energies h and rho (bits i <-> j of both
+        indices) exactly equal. Swaps compose, so the classes are the
+        components of the swaps found, by union-find; a pair already in one
+        class is not tested on rho."""
+        n, dim = self.n_atoms, self.dim
+        i, j = np.less.outer(np.arange(n), np.arange(n)).nonzero()  # every pair i < j
+        swap = np.arange(n) + np.zeros((len(i), 1), dtype=int)  # atoms after each swap
+        swap[np.arange(len(i)), i], swap[np.arange(len(i)), j] = j, i
+        perm = np.concatenate((swap, swap + n), axis=1)  # rows and columns of K
+        x = np.arange(dim)
+        swapped = x ^ ((((x >> i[:, None]) ^ (x >> j[:, None])) & 1)  # bits i <-> j
+                       * ((1 << i) | (1 << j))[:, None])
+        candidates = ((self._K[perm[:, :, None], perm[:, None, :]] == self._K).all(axis=(1, 2))
+                      & (self._h[swapped] == self._h).all(axis=1))
+        rho = np.asarray(rho)
+        support = rho.ravel().nonzero()[0]
+        values = rho.ravel()[support]
+        a, b = np.divmod(support, dim)
+        root = list(range(n))
+
+        def find(k):
+            while root[k] != k:
+                k = root[k]
+            return k
+
+        for s in candidates.nonzero()[0]:
+            ri, rj = find(i[s]), find(j[s])
+            if ri != rj and (rho[swapped[s, a], swapped[s, b]] == values).all():
+                root[rj] = ri
+        classes: dict[int, list[int]] = {}
+        for k in range(n):
+            classes.setdefault(find(k), []).append(k)
+        return list(classes.values())
+
+    def restrict(self, support, key: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The orbits reachable from the pair indices `support` (breadth-first
+        over the jumps, from one representative pair per orbit), which L leaves
+        invariant, and the entries (rows, cols, vals) of the orbit quotient of
+        L on them: int32 indices, in row-major order, no (row, col) repeated.
+        The orbits are returned as their sorted keys, each the representative
+        pair (a, b) as p = a * dim + b; `key` gives the key of every pair
+        index (`_orbit_keys`), and None makes every pair its own orbit.
+
+        The orbits of `_orbit_keys` are those of permutations that commute
+        with L (`atom_classes`), so a state v constant on every orbit stays
+        so, with d u/dt = L_orb @ u: L_orb[I, J] is |J|/|I| times the sum of
+        the jumps from the representative of J into I, plus its diagonal
+        where I = J. With no key every orbit is one pair and L_orb is L,
+        (L v)[k] being d rho[pairs[k]]/dt; each unfolded jump flips a distinct
+        set of bits and the diagonal none, so no (row, col) repeats and
+        nothing is summed. Each representative's jumps are gathered once,
         _ASSEMBLY_CHUNK jump x pair entries at a time; the gather marks new
-        pairs and keeps every live (source, target, jump)."""
+        orbits and keeps every live (source, target orbit, jump)."""
         dim, jumps = self.dim, len(self._w)
+        orbit = (lambda p: p) if key is None else key.__getitem__
         step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
         seen = np.zeros(dim**2, dtype=bool)
-        seen[np.asarray(support, dtype=np.intp)] = True
-        frontier = np.flatnonzero(seen)
+        seen[orbit(np.asarray(support, dtype=np.intp))] = True
+        frontier = seen.nonzero()[0]
         src, tgt, jump = [], [], []  # int32: pair indices are below 4^10
         while frontier.size:
-            found = np.zeros_like(seen)
+            found = np.zeros(dim**2, dtype=bool)
             for start in range(0, len(frontier), step):
                 chunk = frontier[start:start + step]
                 ta, tb = self._fl[chunk // dim], self._fr[chunk % dim]
-                live = np.flatnonzero((ta != dim) & (tb != dim))
-                tgt.append(ta.ravel()[live] * dim + tb.ravel()[live])
+                live = ((ta != dim) & (tb != dim)).ravel().nonzero()[0]
+                tgt.append(orbit(ta.ravel()[live] * dim + tb.ravel()[live]))
                 found[tgt[-1]] = True
                 src.append(chunk[live // jumps].astype(np.int32))
                 jump.append((live % jumps).astype(np.int32))
-            frontier = np.flatnonzero(found & ~seen)
+            frontier = (found & ~seen).nonzero()[0]
             seen[frontier] = True
-        pairs = np.flatnonzero(seen)
-        diag = self._left_diag[pairs // dim] + self._right_diag[pairs % dim]
-        on = np.flatnonzero(diag)
-        position = np.empty(dim**2, dtype=np.int32)  # read at the pairs only
-        position[pairs] = np.arange(len(pairs))
+        keys = seen.nonzero()[0]
+        diag = self._left_diag[keys // dim] + self._right_diag[keys % dim]
+        on = diag.nonzero()[0]
+        position = np.empty(dim**2, dtype=np.int32)  # read at the keys only
+        position[keys] = np.arange(len(keys))
         # the diagonal first, then the kept entries; the kept arrays and the
         # table are freed before the row-major sort, each unsorted array as
         # soon as its sorted copy exists
@@ -375,32 +463,55 @@ class LindbladGenerator:
         rows = np.concatenate([on, *(position[t] for t in tgt)], dtype=np.int32)
         cols = np.concatenate([on, *(position[s] for s in src)], dtype=np.int32)
         del src, tgt, jump, position
-        order = np.argsort(rows.astype(np.int64) * len(pairs) + cols)
+        # the quotient's repeats are summed in the order gathered, so its sort
+        # is stable; L has none, and the faster sort gives it the same order
+        entry = rows.astype(np.int64) * len(keys) + cols
+        order = np.argsort(entry, kind=None if key is None else "stable")
         vals = vals[order]
         rows = rows[order]
         cols = cols[order]
-        return pairs, (rows, cols, vals)
+        if key is not None:  # jumps of one representative into one orbit
+            first = np.flatnonzero(np.diff(entry[order], prepend=-1))
+            vals = np.add.reduceat(vals, first)
+            rows, cols = rows[first], cols[first]
+            size = np.bincount(key)[keys]
+            vals *= size[cols] / size[rows]
+        return keys, (rows, cols, vals)
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
-        into the coarsest blocks on which rho is constant and L is exact. L
+        into the coarsest blocks on which rho is constant and L is exact. The
+        permutations of interchangeable atoms (`atom_classes`) commute with L
+        and fix rho, so their orbits lump exactly: L is assembled only as the
+        orbit quotient (`restrict`), which `_lump` then lumps further. L
         commutes with Hermitian conjugation, so the pairs are closed under
-        (a, b) -> (b, a), and so are the blocks."""
+        (a, b) -> (b, a), and so are the orbits and the blocks."""
         rho = np.asarray(rho)
         dim = self.dim
         if rho.shape != (dim, dim):
             raise DomainError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-        pairs, L = self.restrict(np.flatnonzero((rho != 0) | (rho.T != 0)))
+        classes = [c for c in self.atom_classes(rho) if len(c) > 1]
+        key = _orbit_keys(dim, classes) if classes else None
+        orbits, L = self.restrict(np.flatnonzero((rho != 0) | (rho.T != 0)), key)
+        a, b = np.divmod(orbits, dim)
+        if key is None:
+            pairs, pair_key, swap_key = orbits, orbits, b * dim + a
+        else:  # the pairs of the reachable orbits
+            member = np.zeros(dim * dim, dtype=bool)
+            member[orbits] = True
+            pairs = np.flatnonzero(member[key])
+            pair_key, swap_key = key[pairs], key[b * dim + a]
+        orbit, orbit_swap = orbits.searchsorted(pair_key), orbits.searchsorted(swap_key)
+        orbit_labels, L_hat = _lump(L, orbit_swap, rho.ravel()[orbits])
+        labels = orbit_labels[orbit]
         a, b = np.divmod(pairs, dim)
         swap = np.searchsorted(pairs, b * dim + a)
-        labels, L_hat = _lump(L, swap, rho.ravel()[pairs])
         k = L_hat.shape[0]
         block_swap = np.empty(k, dtype=np.intp)
         block_swap[labels] = labels[swap]
         # R_tot = -sum_a popcount(a) d rho_aa/dt = -Re(r . u) with r = L_hat^T w,
         # w the popcounts summed over the diagonal pairs of each block
-        popcount = sum((a >> j) & 1 for j in range(self.n_atoms))
-        w = np.bincount(labels, np.where(a == b, popcount, 0), k)
+        w = np.bincount(labels, np.where(a == b, np.bitwise_count(a), 0), k)
         return Sector(dim=dim, pairs=pairs, swap=swap, labels=labels, L_hat=L_hat,
                       block_swap=block_swap, diag_count=np.bincount(labels, a == b, k),
                       emission=L_hat.T @ w)

@@ -6,11 +6,11 @@ from scipy.linalg import eigvalsh_tridiagonal
 
 from accelatoms import ConfigError, DivergenceError, DomainError, NoRootError
 
-from accelatoms.bec import (BogoliubovBath, TweezerSpec, bogoliubov_mode,
-                            bound_state_count, bound_state_counts, coupling_tensor,
-                            map_to_detector_model, resonant_wavenumber, transition_energy,
-                            two_level_window, variational_width, _negative_pivots,
-                            _width_residual)
+from accelatoms.bec import (GRID_RESOLUTION_MAX, BogoliubovBath, TweezerSpec,
+                            bogoliubov_mode, bound_state_count, bound_state_counts,
+                            bound_state_grid, coupling_tensor, map_to_detector_model,
+                            resonant_wavenumber, transition_energy, two_level_window,
+                            variational_width, _negative_pivots, _width_residual)
 from accelatoms.kinematics import unruh_beta
 from accelatoms.rates import same_wedge_rates
 
@@ -133,6 +133,22 @@ def test_bound_state_counts_match_eigenvalue_oracle_on_random_cells():
     _, coarse = bound_state_counts(V0[:20], w[:20], M[:20], grid_points=301)
     assert coarse.tolist() == [_reference_count(*cell, grid_points=301)
                                for cell in zip(V0[:20], w[:20], M[:20])]
+
+
+def test_bound_state_grid_refuses_cells_it_cannot_resolve():
+    # the preset's design grid resolves every well; a deeper or wider well
+    # whose grid spacing exceeds GRID_RESOLUTION_MAX of its shortest half
+    # wavelength pi / sqrt(2 M V0) is refused, and the count on that grid is
+    # still there for the library (it differs from a finer grid's)
+    depths, waists = np.meshgrid(np.linspace(0.5, 8.0, 20), np.linspace(0.4, 2.4, 20))
+    V0, w, _, _, h, _ = bound_state_grid(depths, waists, 2.0)
+    assert (h * np.sqrt(4.0 * V0) / math.pi).max() < 0.1 < GRID_RESOLUTION_MAX
+    for V0, w in ((1e3, 1.0), (1e30, 2.4), (100.0, 2.4)):
+        with pytest.raises(DomainError, match="too coarse"):
+            bound_state_grid(V0, w, 2.0)
+    coarse, fine = (bound_state_counts(1e4, 1.0, 2.0, points)[1] for points in (1501, 6001))
+    assert coarse != fine
+    bound_state_grid(1e3, 1.0, 2.0, grid_points=6001)  # 0.40 on 1501 points, 0.10 here
 
 
 def test_negative_pivots_replaces_a_zero_pivot():

@@ -371,6 +371,18 @@ def test_condensate_values_beyond_the_float_range_are_refused(tmp_path, capsys, 
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("value", ["1e30", "100"])
+def test_a_bound_state_grid_too_coarse_for_its_wells_is_refused(tmp_path, capsys, value):
+    # deep wells hold more states than the 1501-point grid resolves, so the
+    # numeric count would be the grid's: at 1e30 it read 801-803 states where
+    # the closed form gives about 1e15; at 100 the widest waist's spacing is
+    # 0.31 of the well's shortest half wavelength
+    text = re.sub(r"^nb_depth_max = .*$", f"nb_depth_max = {value}", _small_bec_design(),
+                  flags=re.M)
+    _assert_one_diagnostic(tmp_path, capsys, text, "nb_grid")
+    assert "too coarse" in validate(parse_config(text))[0]
+
+
 def test_a_window_sweep_without_a_variational_width_is_rejected(tmp_path, capsys):
     # both listed waists have a variational width, but the window sweep's
     # upper waists (to 1165) do not: (V0 M w^2)^2 grows with the waist

@@ -340,13 +340,14 @@ def test_ladder_table_matches_dense_products():
 
 
 class _CountedGathers:
-    """A jump table that counts the gathers made from it."""
+    """A jump table that counts the gathers made from it and the rows they read."""
 
     def __init__(self, table):
-        self.table, self.count = table, 0
+        self.table, self.count, self.rows = table, 0, 0
 
     def __getitem__(self, rows):
         self.count += 1
+        self.rows += len(rows)
         return self.table[rows]
 
 
@@ -532,20 +533,146 @@ def test_lumping_leaves_distinct_atoms_unreduced():
 
 
 def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
+    # the counter wedges lump their 26 orbits (classes {0, 1} and {2, 3}) into
+    # 10 blocks; the certificate checks that lumping of the orbit quotient
     gen = counter_wedge_four()
     lumped = gen.sector(all_ground(4))
-    _, exact = csr(gen.restrict(lumped.pairs))
-    # one diagonal entry in the largest block moves far below the refinement's
-    # gap and far above the certificate's tolerance
-    i = np.flatnonzero(lumped.labels == np.bincount(lumped.labels).argmax())[-1]
-    delta = 1e-11 * np.abs(exact.data).max()
-    perturbed = exact + sp.csr_array(([delta], ([i], [i])), shape=exact.shape)
-    entries = perturbed.tocoo()  # row-major, as restrict returns them
-    monkeypatch.setattr(gen, "restrict", lambda support: (
-        lumped.pairs, (entries.row, entries.col, entries.data)))
+    restrict = gen.restrict
+    seen = {}
+
+    def perturbed_restrict(support, key=None):
+        orbits, exact = csr(restrict(support, key))
+        orbit = np.searchsorted(orbits, key[lumped.pairs])
+        blocks = np.zeros(len(orbits), dtype=int)
+        blocks[orbit] = lumped.labels
+        # one diagonal entry of an orbit in the block of most orbits moves far
+        # below the refinement's gap and far above the certificate's tolerance
+        i = np.flatnonzero(blocks == np.bincount(blocks).argmax())[-1]
+        delta = 1e-11 * np.abs(exact.data).max()
+        perturbed = exact + sp.csr_array(([delta], ([i], [i])), shape=exact.shape)
+        entries = perturbed.tocoo()  # row-major, as restrict returns them
+        seen.update(orbit=orbit, perturbed=perturbed)
+        return orbits, (entries.row, entries.col, entries.data)
+
+    monkeypatch.setattr(gen, "restrict", perturbed_restrict)
     sector = gen.sector(all_ground(4))
-    assert np.array_equal(sector.labels, np.arange(70))
-    assert np.array_equal(sector.L_hat, perturbed.toarray())
+    # every orbit is its own block, and L_hat is the perturbed quotient
+    assert len(sector.pairs) == 70 and sector.L_hat.shape == (26, 26)
+    assert np.array_equal(sector.labels, seen["orbit"])
+    assert np.array_equal(sector.L_hat, seen["perturbed"].toarray())
+
+
+def _orbit_counts(pairs, dim, classes):
+    """Per pair (a, b), the number of atoms of type 11, 10 and 01 (bit in a,
+    bit in b) in each class: its orbit under the permutations within classes."""
+    a, b = np.divmod(pairs, dim)
+    counts = []
+    for atoms in classes:
+        x = np.array([(a >> j) & 1 for j in atoms])
+        y = np.array([(b >> j) & 1 for j in atoms])
+        counts += [(x & y).sum(0), (x & (1 - y)).sum(0), ((1 - x) & y).sum(0)]
+    return list(zip(*counts))
+
+
+def test_orbit_quotient_matches_full_assembly():
+    # random rate sets of two kinds of atom, repeated: the sector built on the
+    # orbits of the interchangeable atoms against L assembled on every pair
+    # (restrict with no key)
+    rng = np.random.default_rng(25)
+    with_class = coarser = 0
+    for trial in range(30):
+        n = 2 + trial % 5
+        a = float(rng.uniform(0.5, 4.0))
+        frame = FrameConfig(a=a)
+        kinds = [AtomSpec(omega=float(rng.uniform(0.5, 2.0)),
+                          alpha=float(rng.uniform(0.5 * a, 3.0 * a)),
+                          g=float(rng.uniform(0.2, 1.5))) for _ in range(2)]
+        atoms = [kinds[k] for k in rng.integers(0, 2, size=n)]
+        if trial % 3 == 0:
+            half = n // 2
+            rates, h = cross_wedge_rates(
+                frame, atoms[:n - half],
+                [dataclasses.replace(at, wedge="II") for at in atoms[n - half:]]), None
+        else:
+            rates = same_wedge_rates(frame, atoms)
+            h = build_hamiltonian(atoms, frame) if trial % 2 else None
+        rho = product_state("".join(rng.choice(["e", "g"], size=n, p=[0.7, 0.3])))
+        for pairing in ("anomalous", "literal"):
+            gen = LindbladGenerator(h, rates, pairing)
+            classes = gen.atom_classes(rho)
+            sector = gen.sector(rho)
+            pairs, entries = gen.restrict(np.flatnonzero(rho))
+            _, L = csr((pairs, entries))
+            assert np.array_equal(sector.pairs, pairs)
+            # every orbit (equal type counts in every class) lies in one block
+            orbits = _orbit_counts(pairs, gen.dim, classes)
+            assert len(set(zip(sector.labels, orbits))) == len(set(orbits))
+            k = len(sector.block_swap)
+            u = rng.normal(size=k) + 1j * rng.normal(size=k)
+            scale = np.abs(entries[2]).max()
+            assert np.abs(L @ u[sector.labels] - (sector.L_hat @ u)[sector.labels]).max() \
+                <= 1e-13 * scale
+            # the coarsest lumping is unique: _lump on all of L finds the same blocks
+            x, y = np.divmod(pairs, gen.dim)
+            full, _ = liouvillian._lump(entries, np.searchsorted(pairs, y * gen.dim + x),
+                                        rho.ravel()[pairs])
+            assert full.max() + 1 == k == len(set(zip(full, sector.labels)))
+            if n <= 4:
+                v = np.zeros(gen.dim**2, dtype=complex)
+                v[pairs] = u[sector.labels]
+                oracle = build_superoperator(h, rates, pairing)
+                expected = unvec(oracle @ vec(v.reshape(gen.dim, -1)), gen.dim).ravel()
+                assert np.abs(expected[pairs] - (sector.L_hat @ u)[sector.labels]).max() \
+                    <= 1e-12 * scale
+                assert np.abs(np.delete(expected, pairs)).max() <= 1e-12 * scale
+            with_class += max(map(len, classes)) > 1
+            coarser += k < len(set(orbits))
+    assert with_class >= 40 and coarser >= 10
+
+
+def test_atom_classes_need_equal_rates_energies_and_state():
+    frame = FrameConfig(a=2.0)
+    atom = AtomSpec(omega=1.0, alpha=2.0)
+
+    def classes(atoms, rho, with_h=True):
+        h = build_hamiltonian(atoms, frame) if with_h else None
+        gen = LindbladGenerator(h, same_wedge_rates(frame, atoms))
+        return gen.atom_classes(product_state(rho) if isinstance(rho, str) else rho)
+
+    assert classes([atom] * 3, "eee") == [[0, 1, 2]]
+    # atoms that differ only in their initial bit, in g or in omega stay apart
+    assert classes([atom] * 3, "ege") == [[0, 2], [1]]
+    assert classes([atom, dataclasses.replace(atom, g=0.5), atom], "eee") == [[0, 2], [1]]
+    for with_h in (True, False):
+        assert classes([atom, dataclasses.replace(atom, omega=1.5)], "ee", with_h) == [[0], [1]]
+    # a mixed state: |eg><eg| alone breaks the swap, its mixture with |ge><ge| not
+    rho = np.diag([0.0, 1.0, 0.0, 0.0])
+    assert classes([atom] * 2, rho) == [[0], [1]]
+    assert classes([atom] * 2, np.diag([0.0, 0.5, 0.5, 0.0])) == [[0, 1]]
+    # the counter wedges, and three kinds of atom with every other one excited
+    assert counter_wedge_four().atom_classes(all_ground(4)) == [[0, 1], [2, 3]]
+    atoms = [atom] * 3 + [dataclasses.replace(atom, alpha=2.6)] * 2 + [
+        dataclasses.replace(atom, alpha=3.1)] * 2
+    assert classes(atoms, "egegege") == [[0, 2], [1], [3], [4], [5], [6]]
+
+
+def test_symmetric_sector_gathers_only_orbit_representatives(monkeypatch):
+    # fig2's six identical atoms: the 924 pairs fall into 16 orbits, and only
+    # one representative of each is gathered from the jump table
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    spy = _CountedGathers(gen._fl)
+    monkeypatch.setattr(gen, "_fl", spy)
+    sector = gen.sector(all_excited(6))
+    assert len(sector.pairs) == 924 and sector.L_hat.shape == (7, 7)
+    assert spy.rows == 16
+    # the orbit keys and the gathers in several chunks give the same sector
+    monkeypatch.setattr(liouvillian, "_ASSEMBLY_CHUNK", 1000)
+    chunked = gen.sector(all_excited(6))
+    assert spy.rows == 32 and spy.count > 3
+    for field in dataclasses.fields(sector):
+        assert np.array_equal(getattr(chunked, field.name), getattr(sector, field.name))
 
 
 def test_invariant_block_spectrum_matches_superoperator():
