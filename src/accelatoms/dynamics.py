@@ -35,7 +35,11 @@ class TimeSeries:
     """Recorded trajectory: times, observable rows, optionally retained states.
 
     Columns are (P_1..P_N, P_tot, R_tot, C_coh, C_conc, trace_err, min_eig);
-    C_conc refers to the `concurrence_pair` that `evolve` was given.
+    C_conc refers to the `concurrence_pair` that `evolve` was given. The
+    events of `evolve` are its hard checks (every 100 steps and the last
+    step), and a record is a snapshot inside a check interval, so
+    max_trace_drift is the largest trace drift accumulated within a check
+    interval, from the renormalized state at its start.
     """
 
     times: np.ndarray
@@ -263,20 +267,31 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     The state is kept as the block vector u of the lumped sector of rho0
     (`LindbladGenerator.sector`). Observables are recorded every
     `record_every` (an integer >= 1) steps and at the final time, and
-    invariants are hard-checked every 100 steps; these steps are the events.
-    u goes from event to event by k = (steps between them) RK4 steps P =
-    T4(dt L_hat), with no correction in between, and is re-Hermitized and
-    trace-renormalized at each event. On a dense L_hat (at most 128 blocks)
-    the k steps are one product with a cached P^k, on a CSR one k Horner
-    steps. The trace after every step is still checked, from the rows
-    diag_count P^j; max_trace_drift is the largest drift accumulated within
-    an event interval. Each event's state is snapshotted once; the snapshots
-    are evaluated together through a `RecordMap` every 100 steps, at the end
-    and before a trace-drift error, each on its own, so that a record does not
-    depend on its batch. Each state is checked for, in order, a non-finite
-    entry, a trace error, an eigenvalue below the floor, then, on records, a
-    negative population and an invalid reduced pair state; the earliest failing
-    state raises its first failing check as IntegrationError, naming its step.
+    invariants are hard-checked every 100 steps and at the final time; the
+    checks are the events. u goes from check to check by k RK4 steps
+    P = T4(dt L_hat), with no correction in between, and the states at the
+    records inside the interval and at its check are snapshots: each
+    Hermitized and trace-renormalized by its own trace, which is the same
+    state as doing so after every step, since P commutes with the
+    swap-conjugation. u goes on from the check's snapshot. On a dense L_hat
+    (at most 128 blocks) all snapshots of an interval come from one product
+    with a cached stack of the powers P^o at their offsets o, at most
+    100 x 128^2 complex entries (26 MB). A record_every that divides 100
+    needs one such stack per run, and one more for a shorter last interval;
+    any other holds at most 199 powers over its full intervals (52 MB) and
+    up to 100 more for the last (78 MB in all). On a CSR L_hat they
+    are the states after k Horner steps at the offsets. The trace after every
+    step is still checked, from the rows diag_count P^j applied to each
+    snapshot's predecessor; max_trace_drift is the largest drift accumulated
+    within a check interval. Each state is snapshotted once; the snapshots are
+    evaluated together through a `RecordMap` at each check, before a
+    trace-drift error and, on a CSR sector, whenever they hold 2^20 entries,
+    each on its own, so that a record does not depend on its batch. Each state
+    is checked for, in order, a non-finite entry, a trace error, an eigenvalue
+    below the floor, then, on records, a negative population and an invalid
+    reduced pair state; the earliest failing state raises its first failing
+    check as IntegrationError, naming its step, and a trace drift raises at
+    the step it happens, after the snapshots before it.
     """
     if not (dt > 0 and math.isfinite(dt)):
         raise DomainError(f"dt must be finite and > 0, got {dt}")
@@ -316,25 +331,36 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         return w
 
     # P is a polynomial in L_hat, so the row diag_count steps by the same
-    # Horner form: the traces after j = 1..k steps from u are trace_rows[:k] @ u
+    # Horner form: the traces after j = 1..len steps from v are trace_rows[:len] @ v
     trace_rows = np.empty((min(record_every, _CHECK_EVERY, nsteps), len(swap)), dtype=complex)
     row = sector.diag_count
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its trace
         for j in range(len(trace_rows)):
             row = trace_rows[j] = rk4(row, lambda w: w @ L_hat)
     if dense:  # each column of P is one step of a unit vector (check_step)
-        P, powers = rk4(np.eye(len(swap))), {}  # P^k for each distance k between events
+        P, stacks = rk4(np.eye(len(swap))), {}  # per (first offset, interval length)
+
+    def stacked(offsets):
+        # P^o for each offset o, as one (len(offsets) * blocks, blocks) matrix,
+        # each the power of the gap to the previous offset times the previous one
+        gaps = np.diff(offsets, prepend=0)
+        powers = {g: np.linalg.matrix_power(P, g) for g in set(gaps.tolist())}
+        stack = np.empty((len(offsets), len(swap), len(swap)), dtype=complex)
+        power = np.eye(len(swap))
+        for i, g in enumerate(gaps):
+            power = stack[i] = powers[g] @ power
+        return stack.reshape(-1, len(swap))
 
     columns = tuple(f"P_{j + 1}" for j in range(n)) + (
         "P_tot", "R_tot", "C_coh", "C_conc", "trace_err", "min_eig")
     times, rows, states = [], [], ([] if retain_states else None)
-    pending: list[tuple[int, bool, np.ndarray]] = []  # (steps taken, is a record, u)
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (steps taken, is a record, U)
     max_drift = 0.0
 
     def evaluate():
         if not pending:
             return
-        steps, is_record, U = (np.array(column) for column in zip(*pending))
+        steps, is_record, U = (np.concatenate(column) for column in zip(*pending))
         pending.clear()
         finite = np.isfinite(U).all(axis=1)
         U[~finite] = 0  # no LAPACK call sees a non-finite state
@@ -364,39 +390,61 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         if states is not None:
             states.extend(sector.scatter(v) for v in U[is_record])
 
-    step = 0
-    while True:  # from event to event: the records, the checks and the last step
-        is_record = step % record_every == 0 or step == nsteps
-        is_check = (step > 0 and step % _CHECK_EVERY == 0) or step == nsteps  # step 0 is a record
-        pending.append((step, is_record, u))  # one snapshot per state
-        if is_check or len(pending) * len(u) >= _BATCH_ENTRIES:
-            evaluate()
-        if step == nsteps:
-            break
-        k = min(record_every - step % record_every, _CHECK_EVERY - step % _CHECK_EVERY,
-                nsteps - step)
-        with np.errstate(over="ignore", invalid="ignore"):
-            # only how u crosses the interval depends on L_hat: the traces of
-            # the Hermitized states after each step are Re(trace_rows[:k] @ u)
-            traces = (trace_rows[:k] @ u).real
-            if dense:
-                if k not in powers:
-                    powers[k] = np.linalg.matrix_power(P, k)
-                w = powers[k] @ u
-            else:
-                w = u
-                for _ in range(k):
-                    w = rk4(w)
+    def snapshot(at, start, W, ends):
+        # W[i], the state after ends[i] steps, unnormalized since the check,
+        # is reached from W[i - 1], and W[0] from `start` after `at` steps. The
+        # traces after each step are Re(trace_rows[:length] @ each start),
+        # each its own product, so that they do not depend on the batch
+        nonlocal max_drift
+        lengths = np.diff(ends, prepend=at)
+        starts = np.vstack((start, W[:-1]))
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its trace
+            traces = np.matmul(trace_rows, starts[:, :, None])[:, :, 0].real
+            traces = traces[np.arange(len(trace_rows)) < lengths[:, None]]
+            U = (W + W[:, swap].conj()) * (0.5 / traces[ends - at - 1])[:, None]
+        is_record = (ends % record_every == 0) | (ends == nsteps)
         drift = np.abs(traces - 1.0)
         worst = float(drift.max())
         if not worst <= _TRACE_HARD:  # a non-finite trace too
             j = int((~(drift <= _TRACE_HARD)).argmax())
-            evaluate()  # an earlier snapshot's failure comes first
+            before = ends <= at + j  # an earlier snapshot's failure comes first
+            pending.append((ends[before], is_record[before], U[before]))
+            evaluate()
             raise IntegrationError(f"trace drift {drift[j]:.3e} beyond hard tolerance "
-                                   f"{_TRACE_HARD}", step=step + j + 1)
+                                   f"{_TRACE_HARD}", step=at + j + 1)
         max_drift = max(max_drift, worst)
-        u = (w + w[swap].conj()) * (0.5 / float(traces[-1]))
-        step += k
+        pending.append((ends, is_record, U))
+        return U[-1]
+
+    pending.append((np.zeros(1, dtype=int), np.ones(1, dtype=bool), u[None]))
+    for step in range(0, nsteps, _CHECK_EVERY):  # from check to check
+        k = min(_CHECK_EVERY, nsteps - step)
+        # the snapshots: the records within (step, step + k], and the check
+        ends = np.append(np.arange(step + record_every - step % record_every, step + k,
+                                   record_every), step + k)
+        if dense:  # all of them from one stacked product
+            with np.errstate(over="ignore", invalid="ignore"):
+                key = (ends[0] - step, k)  # which fix every offset
+                if key not in stacks:
+                    stacks[key] = stacked(ends - step)
+                W = (stacks[key] @ u).reshape(len(ends), -1)
+            u = snapshot(step, u, W, ends)
+        else:  # k Horner steps; the snapshots are taken before they outgrow a batch
+            at, start, w, taken = step, u, u, []
+            for s in range(step + 1, step + k + 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    w = rk4(w)
+                if s in ends:
+                    taken.append(w)
+                    held = sum(len(steps) for steps, _, _ in pending) + len(taken)
+                    full = held * len(w) >= _BATCH_ENTRIES
+                    if full or s == step + k:
+                        u = snapshot(at, start, np.array(taken), ends[(ends > at) & (ends <= s)])
+                        at, start, taken = s, w, []
+                        if full:
+                            evaluate()
+        evaluate()
+    evaluate()  # a run of no steps has its initial state only
 
     return TimeSeries(times=np.array(times), columns=columns, records=np.concatenate(rows),
                       states=states, max_trace_drift=max_drift)

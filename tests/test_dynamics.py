@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import re
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 
 from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError, dynamics, liouvillian
 from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_measure,
@@ -578,6 +580,106 @@ def test_event_intervals_match_per_step_rk4(monkeypatch):
             dense, csr_run = runs
             assert np.array_equal(dense.times, csr_run.times)
             assert np.abs(dense.records - csr_run.records).max() < 1e-12
+
+
+def _leaky(monkeypatch, eps):
+    # every sector with eps subtracted from the diagonal of L_hat: the trace
+    # decays by about eps * dt per step, so a snapshot's own trace differs
+    # from the check's by up to 100 eps dt, where a trace-preserving L_hat
+    # differs only by rounding
+    build = LindbladGenerator.sector
+
+    def sector(self, rho):
+        real = build(self, rho)
+        k = len(real.block_swap)
+        eye = np.eye(k) if isinstance(real.L_hat, np.ndarray) else sp.eye_array(k, format="csr")
+        return dataclasses.replace(real, L_hat=real.L_hat - eps * eye)
+
+    monkeypatch.setattr(LindbladGenerator, "sector", sector)
+
+
+def _oracle_records(sector, states, pair):
+    # evolve's columns from the full states, by the oracle functions
+    rows = []
+    for rho in states:
+        p = populations(rho)
+        rows.append([*p, p.sum(), -(sector.emission @ sector.gather(rho)).real,
+                     coherence_measure(rho), concurrence(partial_trace(rho, pair)),
+                     abs(rho.trace() - 1.0), np.linalg.eigvalsh(rho).min()])
+    return np.array(rows)
+
+
+def test_check_intervals_match_per_step_rk4(monkeypatch):
+    # the checks (every 100 steps and the last of 257) are the only events;
+    # each record inside a check interval is Hermitized and renormalized by
+    # its own trace. On a dense sector and a CSR one (_DENSE_BLOCKS = 0),
+    # every record_every gives the times and, within 1e-12, the records of
+    # one RK4 step at a time, Hermitized and renormalized after each step;
+    # also where L_hat leaks trace, so that a snapshot's own trace matters
+    nsteps, dense_limit = 257, liouvillian._DENSE_BLOCKS
+    for rho0, h, rs, _, dt, _, pair in _snapshot_cases()[:2]:
+        for eps in (0.0, 1e-11 / dt):
+            with monkeypatch.context() as m:
+                if eps:
+                    _leaky(m, eps)
+                sector = LindbladGenerator(h, rs).sector(rho0)
+                states = _per_step_states(sector, sector.gather(rho0), dt, nsteps, 1)
+                expected = _oracle_records(sector, states, pair)
+                for dense_blocks in (dense_limit, 0):
+                    m.setattr(liouvillian, "_DENSE_BLOCKS", dense_blocks)
+                    assert isinstance(LindbladGenerator(h, rs).sector(rho0).L_hat,
+                                      np.ndarray) == (dense_blocks > 0)
+                    for record_every in (1, 3, 7, 10, 100, 150, 1000):
+                        ts = evolve(rho0, h, rs, t_max=nsteps * dt, dt=dt,
+                                    record_every=record_every, concurrence_pair=pair)
+                        steps = [*range(0, nsteps, record_every), nsteps]
+                        assert np.array_equal(ts.times, np.array(steps) * dt)
+                        assert np.abs(ts.records - expected[steps]).max() < 1e-12
+                        assert ts.max_trace_drift < (2e-9 if eps else 1e-12)
+
+
+def test_a_record_before_a_trace_drift_in_its_check_interval_fails_first(monkeypatch):
+    # a leak of 1.5e-8 per step drifts the trace beyond 1e-6 at step 67 of
+    # the first check interval; with the population floor just above P_1 at
+    # step 30, the record there fails first, with its message and step, on a
+    # dense sector and a CSR one
+    frame, atoms, rs, h = zero_temp_system(2)
+    dt = 0.01
+    P_1 = evolve(all_excited(2), h, rs, t_max=1.0, dt=dt).column("P_1")
+    _leaky(monkeypatch, 1.5e-8 / dt)
+    for dense_blocks in (liouvillian._DENSE_BLOCKS, 0):
+        monkeypatch.setattr(liouvillian, "_DENSE_BLOCKS", dense_blocks)
+        with monkeypatch.context() as m:
+            with pytest.raises(IntegrationError) as err:
+                evolve(all_excited(2), h, rs, t_max=1.0, dt=dt)
+            assert err.value.message == "trace drift 1.005e-06 beyond hard tolerance 1e-06"
+            assert err.value.step == 67
+            m.setattr(dynamics, "_POP_FLOOR", P_1[3] + 1e-12)
+            with pytest.raises(IntegrationError) as err:
+                evolve(all_excited(2), h, rs, t_max=1.0, dt=dt)
+            assert err.value.message.startswith("population of atom 0 is ")
+            assert err.value.step == 30
+
+
+def test_evolve_rejects_an_invalid_rho0_with_its_message():
+    frame, atoms, rs, h = resonant_system(2)
+    bad = all_excited(2)
+    bad[0, 3] = 0.1
+    with pytest.raises(DomainError, match=re.escape(
+            "density matrix not Hermitian (max deviation 1.000e-01)")):
+        evolve(bad, h, rs, t_max=1.0)
+    # mixed and symmetric under the exchange of the two atoms, whose orbits
+    # lump |01><10| with |10><01| and |01><01| with |10><10|: the eigenvalue
+    # 0.5 - 0.7 of the one-excitation rows lies inside one lumped block
+    mixed = np.zeros((4, 4), dtype=complex)
+    mixed[1, 1] = mixed[2, 2] = 0.5
+    mixed[1, 2] = mixed[2, 1] = 0.7
+    sector = LindbladGenerator(h, rs).sector(mixed)
+    labels = dict(zip(sector.pairs.tolist(), sector.labels.tolist()))
+    assert labels[1 * 4 + 2] == labels[2 * 4 + 1] and labels[1 * 4 + 1] == labels[2 * 4 + 2]
+    with pytest.raises(DomainError, match=re.escape(
+            "density matrix has eigenvalue -2.000e-01 below -1e-09")):
+        evolve(mixed, h, rs, t_max=1.0)
 
 
 def test_integration_error_counts_the_steps_taken(monkeypatch):
