@@ -30,6 +30,13 @@ from .kinematics import AtomSpec, FrameConfig
 # 5 between 0.3 and 0.5 and by up to 24 between 0.5 and 1; beyond that the
 # count is the grid's, not the well's. The bec_design preset reaches 0.086.
 GRID_RESOLUTION_MAX = 0.25
+# The smallest normal float, the threshold of `dispersion` and of the pivots.
+_TINY = float(np.finfo(float).tiny)
+# Floats in one block of bound-state diagonals or of companion matrices: 64 kB,
+# under glibc's 128 kB mmap threshold, so each block and its temporaries come
+# from the heap, and no freed larger mapping raises the threshold for the rest
+# of the run.
+_BLOCK_FLOATS = 8192
 
 
 @dataclass(frozen=True)
@@ -89,8 +96,7 @@ def dispersion(m: float, mu: float, k: float) -> tuple[float, float]:
     subnormal would cost the mode its precision and an overflow its value."""
     eps = k * k / (2.0 * m)
     E2 = eps * (eps + 2.0 * mu)
-    tiny = np.finfo(float).tiny
-    if not (eps >= tiny and tiny <= E2 < math.inf):
+    if not (eps >= _TINY and _TINY <= E2 < math.inf):
         raise DivergenceError(f"Bogoliubov mode at k = {k:g} is outside the floating-point "
                               f"range (k^2/(2m) = {eps:g}, E^2 = {E2:g})")
     return eps, math.sqrt(E2)
@@ -112,20 +118,37 @@ def _negative_pivots(diagonals, off_sq: np.ndarray) -> np.ndarray:
     """Negative eigenvalues of symmetric tridiagonals, counted as the negative
     pivots of the LDL^T recurrence d_i = T_ii - T_{i,i-1}^2 / d_{i-1}.
 
-    `diagonals` yields T_ii for every matrix at once, index by index; `off_sq`
-    is the squared off-diagonal of each matrix, the same at every index. Only
-    one pivot per matrix is held, so memory stays O(matrices).
+    `diagonals` yields T_ii for every matrix at once, a block of consecutive
+    indices at a time: an array of shape (indices, *off_sq.shape), or of
+    off_sq.shape for one index. `off_sq` is the squared off-diagonal of each
+    matrix, finite and the same at every index. The recurrence runs in
+    buffers of one pivot per matrix and one block of pivots, so working
+    memory is the largest block plus a few arrays of one value per matrix.
     """
     # a pivot of magnitude below pivmin, an exact 0 included, is replaced by
     # -pivmin, as LAPACK's dstebz does: the next pivot stays finite, and an
     # eigenvalue at 0 to rounding counts as negative
-    pivmin = np.finfo(float).tiny * np.maximum(1.0, off_sq)
+    pivmin = _TINY * np.maximum(1.0, off_sq)
+    neg_pivmin = -pivmin
     count = np.zeros(off_sq.shape, dtype=int)
-    d = None
-    for diag in diagonals:
-        d = diag if d is None else diag - off_sq / d
-        d = np.where(np.abs(d) < pivmin, -pivmin, d)
-        count += d < 0.0
+    # a previous pivot of inf makes the first pivot T_00 - 0 = T_00 exactly
+    d = np.full(off_sq.shape, np.inf)
+    ratio = np.empty(off_sq.shape)
+    small = np.empty(off_sq.shape, dtype=bool)
+    pivots = np.empty(0)
+    for block in diagonals:
+        if np.ndim(block) == off_sq.ndim:
+            block = np.expand_dims(block, 0)
+        if pivots.shape != block.shape:
+            pivots = np.empty(block.shape)
+        for diag, pivot in zip(block, pivots):
+            np.divide(off_sq, d, out=ratio)
+            np.subtract(diag, ratio, out=d)
+            np.abs(d, out=ratio)
+            np.less(ratio, pivmin, out=small)
+            np.copyto(d, neg_pivmin, where=small)
+            pivot[...] = d
+        count += np.count_nonzero(pivots < 0.0, axis=0)
     return count
 
 
@@ -192,20 +215,27 @@ def bound_state_counts(V0, w, M, grid_points: int = 1501) -> tuple[np.ndarray, n
     LDL^T recurrence run over the grid indices for all cells together.
     Counting every eigenvalue below 0 is counting those in (-2 V0, 0): the
     kinetic term is positive semidefinite, so no eigenvalue lies below the
-    potential minimum -V0. Working memory is a few arrays of one value per
-    cell. The grid's float range is checked first; whether it resolves the
-    wells is `bound_state_grid`'s check, which a design passes before it is
-    counted.
+    potential minimum -V0. The diagonals are made a block of indices at a
+    time, about 64 kB of them (one index per block when the cells need
+    more), so working memory is a few such blocks and a few arrays of one
+    value per cell. The grid's float range is checked first; whether it
+    resolves the wells is `bound_state_grid`'s check, which a design passes
+    before it is counted.
     """
     V0, w, _, estimate, half_width, h, kin = _grid(V0, w, M, grid_points)
+    neg_V0, w, half_width, h, two_kin = (a.ravel() for a in (-V0, w, half_width, h, 2.0 * kin))
+    rows = max(1, _BLOCK_FLOATS // max(1, h.size))
 
     def diagonals():
-        for i in range(grid_points - 1):
-            x = i * h - half_width
-            yield -V0 * np.exp(-(x / w) ** 2) + 2.0 * kin
-        yield -V0 * np.exp(-(half_width / w) ** 2) + 2.0 * kin
+        for start in range(0, grid_points, rows):
+            index = np.arange(start, min(start + rows, grid_points))[:, None]
+            x = index * h - half_width
+            if start + rows >= grid_points:
+                x[-1] = half_width  # the last point of np.linspace
+            yield neg_V0 * np.exp(-(x / w) ** 2) + two_kin
 
-    return estimate.astype(int), _negative_pivots(diagonals(), kin * kin)
+    n_numeric = _negative_pivots(diagonals(), (kin * kin).ravel())
+    return estimate.astype(int), n_numeric.reshape(estimate.shape)
 
 
 def bound_state_count(tweezer: TweezerSpec, grid_points: int = 1501) -> tuple[int, int]:
@@ -230,30 +260,59 @@ def _width_residual(a0: float, tweezer: TweezerSpec) -> float:
     return lhs - (tweezer.V0 * tweezer.M) ** 2
 
 
-def variational_width(tweezer: TweezerSpec) -> float:
-    """Bound-state width a0 from the Gaussian variational condition
+def _width_quartic(t: float, q: float) -> float:
+    return q * t**4 - (t + 2.0) ** 3
+
+
+def variational_widths(V0, w, M) -> np.ndarray:
+    """Bound-state widths a0 for arrays of (V0, w, M) tweezers, broadcast, from
+    the Gaussian variational condition
 
         w^4/(2 a0^2) * (2/a0^2 + 1/w^2)^3 = (V0 M)^2,
 
     in t = a0^2/w^2 the quartic q t^4 = (t + 2)^3 with q = 2 (V0 M w^2)^2. Its
     coefficients change sign once, so by Descartes' rule it has one positive
     root, the largest real one; it is simple, f'(t) = (t+2)^2 (t+8)/t > 0, so
-    Newton steps polish it. It must give a0 in [1e-3 w, 1e3 w]."""
-    q = 2.0 * (tweezer.V0 * tweezer.M * tweezer.w * tweezer.w) ** 2
+    Newton steps polish it. It must give a0 in [1e-3 w, 1e3 w].
 
-    def f(t):
-        return q * t**4 - (t + 2.0) ** 3
+    The quartics are solved by one eigvals call over a stack of their
+    companion matrices, each built as np.roots builds it, 512 of them (64 kB)
+    at a time; the Newton steps run in Python floats, whose powers are
+    libm's, as those of a one-tweezer np.roots solve."""
+    V0, w, M = np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in (V0, w, M)))
+    if not (np.all(V0 > 0) and np.all(w > 0) and np.all(M > 0)):
+        raise DomainError("V0, w and M must all be > 0")
+    shape = w.shape
+    V0, w, M = (a.ravel() for a in (V0, w, M))
+    widths = np.empty(w.size)
+    per_block = _BLOCK_FLOATS // 16  # 4 x 4 floats a matrix
+    for start in range(0, w.size, per_block):
+        block = slice(start, start + per_block)
+        waists = w[block].tolist()
+        qs = [2.0 * (v0 * m * wi * wi) ** 2
+              for v0, wi, m in zip(V0[block].tolist(), waists, M[block].tolist())]
+        for q, wi in zip(qs, waists):
+            # the quartic is < 0 below the root and > 0 above it
+            if not _width_quartic(1e-6, q) <= 0.0 <= _width_quartic(1e6, q):
+                raise NoRootError(
+                    f"no variational-width root in ({1e-3 * wi:.3e}, {1e3 * wi:.3e}); "
+                    "the configuration is outside the validity range of the Gaussian ansatz")
+        companion = np.zeros((len(qs), 4, 4))
+        companion[:, 0] = np.array([1.0, 6.0, 12.0, 8.0]) / np.array(qs)[:, None]
+        companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+        roots = np.linalg.eigvals(companion)
+        largest = np.where(roots.imag == 0.0, roots.real, -np.inf).max(axis=1)
+        for i, (t, q, wi) in enumerate(zip(largest.tolist(), qs, waists), start):
+            for _ in range(3):
+                t -= _width_quartic(t, q) / (4.0 * q * t**3 - 3.0 * (t + 2.0) ** 2)
+            widths[i] = wi * math.sqrt(t)
+    return widths.reshape(shape)
 
-    # f < 0 below the root and f > 0 above it
-    if not f(1e-6) <= 0.0 <= f(1e6):
-        raise NoRootError(
-            f"no variational-width root in ({1e-3 * tweezer.w:.3e}, {1e3 * tweezer.w:.3e}); "
-            "the configuration is outside the validity range of the Gaussian ansatz")
-    roots = np.roots([q, -1.0, -6.0, -12.0, -8.0])
-    t = float(roots[roots.imag == 0.0].real.max())
-    for _ in range(3):
-        t -= f(t) / (4.0 * q * t**3 - 3.0 * (t + 2.0) ** 2)
-    return tweezer.w * math.sqrt(t)
+
+def variational_width(tweezer: TweezerSpec) -> float:
+    """Bound-state width a0 of one tweezer, a one-tweezer call of
+    `variational_widths`."""
+    return float(variational_widths(tweezer.V0, tweezer.w, tweezer.M))
 
 
 def transition_energy(tweezer: TweezerSpec, a0: float) -> float:

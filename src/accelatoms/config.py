@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .bec import (BogoliubovBath, TweezerSpec, bound_state_grid, dispersion,
-                  map_to_detector_model, two_level_window, variational_width)
+                  map_to_detector_model, two_level_window, variational_widths)
 from .dynamics import check_step
 from .errors import ConfigError, DivergenceError, DomainError, NoRootError
 from .kinematics import AtomSpec, FrameConfig
@@ -31,14 +31,15 @@ N_ATOMS_MAX = 10
 # step, their 10^7 rows hold N + 7 floats each, 1.4 GB at N = 10, and the CSV
 # takes about 4 GB.
 N_STEPS_MAX = 10**7
-# Grid sizes of bec_design, from the cost of one item at the preset values on
-# a 2-core VM, where the preset run peaks at 52 MB (VmHWM): a wavenumber point
-# (mode, coupling tensor, two table rows) takes 20 us and holds 0.7 kB until
-# its tables are written, 2 s and a 123 MB peak at 10^5; a waist point
-# (variational width, transition energy) takes 0.25 ms, 25 s at 10^5; and the
-# nb_grid_points^2 bound-state counts run as one vectorised pass, 0.9 s and a
-# 71 MB peak at 200. A run at 10^5 wavenumbers, 2 x 10^4 waists and 200 grid
-# points peaks at 125 MB.
+# Grid sizes of bec_design, from runs at the preset values on a 2-core VM
+# (run_scenario's wall time; VmHWM of the whole process, 38 MB for the
+# preset): a wavenumber point (mode, coupling tensor, two table rows) takes
+# 13 us and holds 0.7 kB until its tables are written, 1.3 s and a 109 MB peak
+# at 10^5; a waist point (variational width, transition energy) takes 10 to
+# 15 us and holds 0.4 kB, 1.0 to 1.6 s and an 81 MB peak at 10^5; and the
+# nb_grid_points^2 bound-state counts run as one pass over the grid indices,
+# 1.0 s and a 58 MB peak at 200. A run at all three caps takes 3 s and peaks
+# at 114 MB.
 BEC_GRID_MAX = {"k_points": 10**5, "waist_points": 10**5, "nb_grid_points": 200}
 
 SCENARIOS = ("equal_acceleration_sweep", "mismatch_cases", "counter_wedge",
@@ -289,8 +290,7 @@ def _design_diagnostics(design: DesignSpec) -> list[str]:
     diags = []
     tw = design.tweezers[0]
     try:
-        for w in design.sweep_waists[[0, -1]]:
-            variational_width(TweezerSpec(V0=tw.V0, w=w, M=tw.M, g=tw.g))
+        variational_widths(tw.V0, design.sweep_waists[[0, -1]], tw.M)
         map_to_detector_model(design.bath, design.tweezers, eps_res=design.eps_res)
     except (ConfigError, DomainError, NoRootError) as exc:
         diags.append(f"tweezers: {exc}")

@@ -10,7 +10,6 @@ and '\n' line endings so identical configurations produce byte-identical files.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -93,12 +92,10 @@ def _run_bec_design(design: DesignSpec):
 
     tweezers = design.tweezers
     v0, mass, g = tweezers[0].V0, tweezers[0].M, tweezers[0].g
-    sweep = []
-    for w in design.sweep_waists:
-        tw = bec.TweezerSpec(V0=v0, w=w, M=mass, g=g)
-        a0 = bec.variational_width(tw)
-        sweep.append((w, a0, bec.transition_energy(tw, a0)))
-    sweep = np.array(sweep, dtype=float)
+    waists = design.sweep_waists
+    widths = bec.variational_widths(v0, waists, mass)
+    sweep = np.array([(w, a0, bec.transition_energy(bec.TweezerSpec(V0=v0, w=w, M=mass, g=g), a0))
+                      for w, a0 in zip(waists, widths)], dtype=float)
 
     mapping = bec.map_to_detector_model(bath, tweezers, eps_res=design.eps_res)
     a0_ref = bec.variational_width(tweezers[0])
@@ -142,6 +139,9 @@ def run_scenario(config: ScenarioConfig, out_dir: str | Path,
     else:
         runs = expand_runs(config)
         if threads > 1 and len(runs) > 1:
+            # imported here: multiprocessing and what it loads are for fanned-out runs only
+            from concurrent.futures import ProcessPoolExecutor
+
             # the pool forks all its workers at once, so start no idle ones
             with ProcessPoolExecutor(max_workers=min(threads, len(runs))) as pool:
                 results = list(pool.map(execute_run, runs))

@@ -10,7 +10,10 @@ from accelatoms.bec import (GRID_RESOLUTION_MAX, BogoliubovBath, TweezerSpec,
                             bogoliubov_mode, bound_state_count, bound_state_counts,
                             bound_state_grid, coupling_tensor, map_to_detector_model,
                             resonant_wavenumber, transition_energy, two_level_window,
-                            variational_width, _negative_pivots, _width_residual)
+                            variational_width, variational_widths, _BLOCK_FLOATS,
+                            _negative_pivots, _width_residual)
+from accelatoms.cli import _preset_text
+from accelatoms.config import expand_design, parse_config
 from accelatoms.kinematics import unruh_beta
 from accelatoms.rates import same_wedge_rates
 
@@ -151,6 +154,41 @@ def test_bound_state_grid_refuses_cells_it_cannot_resolve():
     bound_state_grid(1e3, 1.0, 2.0, grid_points=6001)  # 0.40 on 1501 points, 0.10 here
 
 
+def test_bound_state_counts_cross_block_boundaries():
+    # the diagonals come a block of about _BLOCK_FLOATS values at a time; the
+    # recurrence carries its pivot from block to block
+    rng = np.random.default_rng(99)
+    V0 = rng.uniform(0.05, 20.0, 100)
+    w = rng.uniform(0.05, 5.0, 100)
+    M = rng.choice([0.5, 1.0, 2.0, 5.0], 100)
+    # more cells than one block holds: one grid index per block
+    repeats = _BLOCK_FLOATS // V0.size + 1
+    _, n_numeric = bound_state_counts(*(np.tile(a, repeats) for a in (V0, w, M)))
+    assert n_numeric.size > _BLOCK_FLOATS
+    assert n_numeric.tolist() == [_reference_count(*cell) for cell in zip(V0, w, M)] * repeats
+    # several indices per block, and a last block shorter than the others
+    _, n_numeric = bound_state_counts(*(np.tile(a, 3) for a in (V0, w, M)), grid_points=301)
+    rows = _BLOCK_FLOATS // n_numeric.size
+    assert rows > 1 and 301 % rows != 0
+    assert n_numeric.tolist() == [_reference_count(*cell, grid_points=301)
+                                  for cell in zip(V0, w, M)] * 3
+    # a block of indices counts as its rows one by one
+    block = np.array([[0.0, 2.0, -1.0], [0.0, 2.0, -1.0]])
+    assert _negative_pivots(iter([block]), np.ones(3)).tolist() == [1, 0, 2]
+
+
+def test_grid_decided_preset_cells_are_pinned():
+    # a FOUND line in CHANGES.md: these two cells of the bec_design preset's
+    # 20 x 20 grid, (V0, w) = (4.8421, 2.4) and (6.4211, 2.0842) at M = 2, have
+    # their top state at threshold, so the grid decides their count: 9 on
+    # 1501 points, 8 on 6001. Pinned, so that a reordered recurrence cannot
+    # flip them silently.
+    V0 = np.linspace(0.5, 8.0, 20)[[11, 15]]
+    w = np.linspace(0.4, 2.4, 20)[[19, 16]]
+    assert bound_state_counts(V0, w, 2.0)[1].tolist() == [9, 9]
+    assert bound_state_counts(V0, w, 2.0, grid_points=6001)[1].tolist() == [8, 8]
+
+
 def test_negative_pivots_replaces_a_zero_pivot():
     # [[0, 1], [1, 0]] has eigenvalues -1 and 1; its first pivot is exactly 0
     one = np.array([1.0])
@@ -206,6 +244,38 @@ def test_variational_width_residual_and_regression():
         grid = np.geomspace(1e-3 * tweezer.w, 1e3 * tweezer.w, 2000)
         signs = np.sign([_width_residual(x, tweezer) for x in grid])
         assert np.count_nonzero(np.diff(signs)) == 1
+
+
+def _roots_width(tweezer):
+    """Oracle: the width from one np.roots call and three Newton steps."""
+    q = 2.0 * (tweezer.V0 * tweezer.M * tweezer.w * tweezer.w) ** 2
+    roots = np.roots([q, -1.0, -6.0, -12.0, -8.0])
+    t = float(roots[roots.imag == 0.0].real.max())
+    for _ in range(3):
+        t -= (q * t**4 - (t + 2.0) ** 3) / (4.0 * q * t**3 - 3.0 * (t + 2.0) ** 2)
+    return tweezer.w * math.sqrt(t)
+
+
+def test_variational_widths_batch_is_bit_identical_to_one_tweezer_calls():
+    # the preset's window sweep, then three seeded windows, each wider than
+    # one block of companion matrices
+    design = expand_design(parse_config(_preset_text("bec_design")))
+    windows = [(design.tweezers[0].V0, design.tweezers[0].M, design.sweep_waists)]
+    for seed in (0, 1, 2):
+        rng = np.random.default_rng(seed)
+        V0, M = rng.uniform(0.05, 50.0), rng.uniform(0.5, 5.0)
+        windows.append((V0, M, rng.uniform(*two_level_window(V0, M), 600)))
+    for V0, M, waists in windows:
+        widths = variational_widths(V0, waists, M)
+        assert widths.shape == waists.shape
+        tweezers = [TweezerSpec(V0=V0, w=w, M=M) for w in waists.tolist()]
+        assert widths.tolist() == [variational_width(tw) for tw in tweezers]
+        assert widths.tolist() == [_roots_width(tw) for tw in tweezers]
+    # one tweezer without a root refuses the batch; so does a non-positive one
+    with pytest.raises(NoRootError, match=r"\(1\.000e-03, 1\.000e\+03\)"):
+        variational_widths(1e13, [1e-6, 1.0], 1.0)
+    with pytest.raises(DomainError):
+        variational_widths(1.0, [1.0, 0.0], 1.0)
 
 
 def test_variational_width_scaling_covariance():

@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib.util
 import math
 import os
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, FrameConfig, NoRootError
-from accelatoms import cli, runner
+from accelatoms import cli
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
                                SCENARIOS, RunSpec, ScenarioConfig, expand_runs,
                                parse_config, validate)
@@ -139,7 +140,7 @@ def test_threads_start_at_most_one_worker_per_run(tmp_path, monkeypatch, capsys)
             return map(fn, items)
 
     run_scenario(config, tmp_path / "serial")
-    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     run_scenario(config, tmp_path / "fanned", threads=64)
     assert workers == [2]
     for name in ("alpha_2.csv", "alpha_4.csv", "summary.txt"):
