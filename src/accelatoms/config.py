@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,11 +209,20 @@ class RunSpec:
 
     def master_equation(self):
         """(H, rates): the energies and the wedge-I rates, or for counter-accelerating
-        atoms H = None (the interaction picture) and the cross-wedge rates."""
-        n_i = sum(1 for a in self.atoms if a.wedge == "I")
-        if n_i < len(self.atoms):
-            return None, cross_wedge_rates(self.frame, self.atoms[:n_i], self.atoms[n_i:])
-        return build_hamiltonian(self.atoms, self.frame), same_wedge_rates(self.frame, self.atoms)
+        atoms H = None (the interaction picture) and the cross-wedge rates;
+        computed once per (frame, atoms) for `validate`'s dry run and the
+        run itself, as read-only arrays."""
+        return _master_equation(self.frame, self.atoms)
+
+
+@lru_cache(maxsize=256)
+def _master_equation(frame: FrameConfig, atoms: tuple[AtomSpec, ...]):
+    n_i = sum(1 for a in atoms if a.wedge == "I")
+    if n_i < len(atoms):
+        return None, cross_wedge_rates(frame, atoms[:n_i], atoms[n_i:])  # RateSet is read-only
+    H = build_hamiltonian(atoms, frame)
+    H.setflags(write=False)
+    return H, same_wedge_rates(frame, atoms)
 
 
 def expand_runs(config: ScenarioConfig) -> list[RunSpec]:

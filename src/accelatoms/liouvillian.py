@@ -39,8 +39,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
-# loaded with the module, not in a run's solve
-from numpy.random import PCG64, Generator, SeedSequence
 
 from .errors import CapacityError, DomainError
 from .kinematics import AtomSpec, FrameConfig, kinematic_state
@@ -54,7 +52,6 @@ N_MAX_DENSE = 6            # atoms of the Kronecker oracle at most; 4^6 x 4^6 ta
 _ASSEMBLY_CHUNK = 1 << 18  # jump x pair entries gathered at a time
 _LUMP_GAP = 1e-10          # signatures this far apart, relative to max|L|, split a block
 _LUMP_CERTIFICATE = 1e-13  # largest max|L P - P L_hat| accepted, relative to max|L|
-_LUMP_SEED = SeedSequence(0)  # the weights of default_rng(0), without hashing the seed per call
 _DENSE_BLOCKS = 128        # at most this many columns, a dense product beats CSR dispatch
                            # (fig4 case_c submatrices: 4 against 9 us at 64, 7 against 10 at 128);
                            # only a matrix with more columns imports scipy.sparse
@@ -270,6 +267,15 @@ def _matrix(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray,
     return sp.csr_array((vals[order], (rows[order], cols[order])), shape=shape)
 
 
+def _unit_hash(x: np.ndarray) -> np.ndarray:
+    """A float in [0, 1) for each uint64 counter in x: its SplitMix64 hash
+    (Steele, Lea & Flood, OOPSLA 2014), with uint64 wraparound, to 53 bits."""
+    z = (x + np.uint64(1)) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-53
+
+
 def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
           v: np.ndarray) -> tuple[np.ndarray, np.ndarray | sp.csr_array]:
     """The coarsest partition of the pairs into blocks that refines the
@@ -278,23 +284,29 @@ def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
     returns the block labels and L_hat (`_matrix`).
 
     Each round splits every block by one signature per pair, the row sums of
-    L into the blocks combined with fixed pseudo-random complex weights, until
-    a round splits nothing (Buchholz, J. Appl. Prob. 31, 59, 1994). The result
-    is certified by max|L P - P L_hat| <= _LUMP_CERTIFICATE * max|L|, where P
-    is the 0/1 block membership and row I of L_hat is the row of L P of the
-    first pair in block I. A block average would add the rounding of sums
-    over thousands of pairs (2e-13 relative at N = 8) to the certificate.
-    When it fails, or when no two pairs merge, every pair is its own block
-    and L_hat is L.
+    L into the blocks combined with pseudo-random complex weights
+    (`_unit_hash` of a counter), until a round splits nothing (Buchholz,
+    J. Appl. Prob. 31, 59, 1994). The coarsest such partition is unique, so
+    any generic weights find it; the blocks are then numbered by their first
+    pair, which makes the labels and L_hat a function of the partition and
+    L alone, whatever the weights. The result is certified by
+    max|L P - P L_hat| <= _LUMP_CERTIFICATE * max|L|, where P is the 0/1
+    block membership and row I of L_hat is the row of L P of the first pair
+    in block I. A block average would add the rounding of sums over
+    thousands of pairs (2e-13 relative at N = 8) to the certificate. When it
+    fails, or when no two pairs merge, every pair is its own block and L_hat
+    is L.
     """
     rows, cols, vals = L
     m = len(v)
     scale = float(np.abs(vals).max()) if len(vals) else 0.0
     values, labels = np.unique(v, return_inverse=True)
     k = len(values)
-    rng = Generator(PCG64(_LUMP_SEED))  # other weights would renumber the blocks
+    drawn = 0  # the counter of the weights
     while k < m:
-        weights = rng.random(k) + 1j * rng.random(k)
+        unit = _unit_hash(np.arange(drawn, drawn + 2 * k, dtype=np.uint64))
+        drawn += 2 * k
+        weights = unit[:k] + 1j * unit[k:]
         signature = np.bincount(rows, (vals * weights[labels][cols]).real, m)
         swapped = labels[swap]
         order = np.lexsort((signature, swapped, labels))
@@ -309,8 +321,10 @@ def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
         labels[order] = np.concatenate(([0], np.cumsum(cut)))
         k = blocks
     if k < m:
+        first = np.unique(labels, return_index=True)[1]  # the first pair of each block
+        labels = np.unique(first[labels], return_inverse=True)[1]  # blocks in that order
         LP = _matrix(rows, labels[cols], vals, (m, k))
-        L_hat = LP[np.unique(labels, return_index=True)[1]]
+        L_hat = LP[np.sort(first)]
         if abs(LP - L_hat[labels]).max() <= _LUMP_CERTIFICATE * scale:
             return labels, L_hat
     return np.arange(m), _matrix(rows, cols, vals, (m, m))

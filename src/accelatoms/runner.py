@@ -22,6 +22,7 @@ from .liouvillian import LindbladGenerator, steady_state_analysis
 from .operators import product_state
 
 _SPECTRUM_N_MAX = 4  # atoms at most for the summary's zero multiplicity (blocks to 70 x 70)
+_CSV_BLOCK_ROWS = 4096  # rows formatted and written at a time
 
 
 def fmt(x: float) -> str:
@@ -29,11 +30,15 @@ def fmt(x: float) -> str:
 
 
 def write_csv(path: Path, header: list[str], rows) -> None:
-    # one "%.17g" per value, formatted a row at a time: the same text as fmt
-    row_format = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)]
-    lines.extend(row_format % tuple(row) for row in rows)
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    """Write the header and the rows (a 2-D array or a sequence of rows of
+    numbers), _CSV_BLOCK_ROWS rows at a time, so that only one block's text
+    is held; one "%.17g" per value, the same text as fmt."""
+    row_format = ",".join(["%.17g"] * len(header)) + "\n"
+    with path.open("w", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(rows), _CSV_BLOCK_ROWS):
+            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float).tolist()
+            fh.write("".join(row_format % tuple(row) for row in block))
 
 
 def execute_run(run: RunSpec):
@@ -70,7 +75,7 @@ def _write_outputs(out_dir: Path, config: ScenarioConfig, tables, sections) -> l
     written = []
     for name, header, table in tables:
         path = out_dir / f"{name}.csv"
-        write_csv(path, header, table.tolist())
+        write_csv(path, header, table)
         written.append(path)
     lines = [f"schema_version = {config.schema_version}", f"scenario = {config.scenario}", ""]
     for section, items in sections:

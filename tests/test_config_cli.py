@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from accelatoms import CapacityError, ConfigError, DomainError, FrameConfig, NoRootError
-from accelatoms import cli
+from accelatoms import cli, config, runner
 from accelatoms.config import (BEC_GRID_MAX, INITIAL_STATES, N_STEPS_MAX, OMEGA_RULES,
                                SCENARIOS, RunSpec, ScenarioConfig, expand_runs,
                                parse_config, validate)
@@ -213,6 +213,40 @@ def test_write_csv_rows_match_fmt(tmp_path):
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
 
 
+def test_write_csv_writes_a_table_in_row_blocks(tmp_path, monkeypatch):
+    # the table is formatted a block of rows at a time, with the bytes of the
+    # one-pass text, for a 2-D array and a list of rows alike
+    rng = np.random.default_rng(3)
+    table = np.column_stack([rng.normal(size=10) * 10.0 ** rng.integers(-300, 300, size=10),
+                             np.arange(10), rng.integers(0, 2, size=10) == 1])
+    monkeypatch.setattr(runner, "_CSV_BLOCK_ROWS", 3)
+    for rows in (table, list(table), table[:0]):
+        path = tmp_path / "table.csv"
+        write_csv(path, ["t", "n", "agree"], rows)
+        expected = "".join(",".join(fmt(v) for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == ("t,n,agree\n" + expected).encode()
+
+
+def test_master_equation_is_computed_once_per_run(tmp_path, monkeypatch):
+    # validate's dry run and the run itself share one (H, rates), read-only
+    calls = []
+    same_wedge_rates = config.same_wedge_rates
+
+    def counted(frame, atoms):
+        calls.append(atoms)
+        return same_wedge_rates(frame, atoms)
+
+    monkeypatch.setattr(config, "same_wedge_rates", counted)
+    config._master_equation.cache_clear()
+    text = SWEEP.replace("sweep_alphas = 2, 4", "sweep_alphas = 2, 4, 6")
+    run_scenario(parse_config(text), tmp_path)
+    assert len(calls) == 3
+    H, rates = expand_runs(parse_config(text))[0].master_equation()
+    assert len(calls) == 3
+    assert not H.flags.writeable and not rates.gamma_minus_plus.flags.writeable
+    config._master_equation.cache_clear()
+
+
 def _fresh_interpreter(code: str) -> list[str]:
     """The stdout lines of `code` run in a fresh interpreter, so that no other
     test's imports count."""
@@ -279,14 +313,16 @@ def _small_bec_design() -> str:
 
 @pytest.mark.parametrize("text", [SWEEP, _small_bec_design()], ids=["sweep", "bec_design"])
 def test_run_scenario_writes_exactly_the_paths_it_returns(tmp_path, monkeypatch, text):
+    # Path.write_text opens through Path.open too, so every file written is seen
     written = []
-    write_text = Path.write_text
+    open_path = Path.open
 
-    def recording(path, *args, **kwargs):
-        written.append(path)
-        return write_text(path, *args, **kwargs)
+    def recording(path, mode="r", *args, **kwargs):
+        if set(mode) & set("wax+"):
+            written.append(path)
+        return open_path(path, mode, *args, **kwargs)
 
-    monkeypatch.setattr(Path, "write_text", recording)
+    monkeypatch.setattr(Path, "open", recording)
     out = tmp_path / "out"
     paths = run_scenario(parse_config(text), out)
     assert written == paths  # each once, in the returned order

@@ -797,6 +797,65 @@ def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
         assert err.value.message.startswith(message) and err.value.step == step
 
 
+def test_a_sweep_builds_one_record_map(monkeypatch):
+    # fig2's five sweep points share one sector structure (pairs and labels),
+    # so the record map is built once; R_tot comes from each run's own
+    # emission row, bit for bit that of a freshly built map
+    monkeypatch.setattr(dynamics, "_last_record_map", None)
+    built = []
+    init = RecordMap.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    sweeps = []
+    with monkeypatch.context() as m:
+        m.setattr(RecordMap, "__init__", counted)
+        for alpha in (2.0, 4.0, 6.0, 8.0, 10.0):
+            frame, atoms, rs, h = resonant_system(6, a=alpha)
+            ts = evolve(all_excited(6), h, rs, t_max=0.5, dt=0.005, record_every=10,
+                        retain_states=True)
+            sweeps.append((h, rs, ts))
+    assert len(built) == 1
+    emissions = []
+    for h, rs, ts in sweeps:
+        sector = LindbladGenerator(h, rs).sector(all_excited(6))
+        emissions.append(sector.emission)
+        U = np.array([sector.gather(state) for state in ts.states])
+        r_tot = RecordMap(sector, 6, (0, 1)).linear(U)[4]
+        assert np.array_equal(ts.column("R_tot"), r_tot)
+    assert len({e.tobytes() for e in emissions}) == 5
+
+
+def test_an_earlier_failure_is_raised_before_a_later_drift(monkeypatch):
+    # the snapshots are evaluated per batch, so the run goes on past a failing
+    # snapshot; a trace drift later on evaluates the snapshots before it
+    # first, and the earlier failure is raised at its own step, dense or CSR
+    frame, atoms, rs, h = resonant_system(2)
+
+    def failure(record_every, **patched):
+        with monkeypatch.context() as m:
+            for name, value in patched.items():
+                m.setattr(dynamics, name, value)
+            with pytest.raises(IntegrationError) as err:
+                evolve(all_excited(2), h, rs, t_max=5.5 * 3000, dt=5.5,
+                       record_every=record_every)
+        return err.value.step, err.value.message
+
+    for dense_blocks in (liouvillian._DENSE_BLOCKS, 0):
+        monkeypatch.setattr(liouvillian, "_DENSE_BLOCKS", dense_blocks)
+        for record_every, patched, step, message in (
+                (1000, {}, 100, "state eigenvalue -2.068e+06 below hard floor"),
+                (7, {"_EIG_HARD": -np.inf}, 7, "population of atom 0 is -1.964e+00")):
+            # with every evaluated check passing, the run fails by trace drift
+            drift_step, drift = failure(record_every, _first_failure=lambda checks: None,
+                                        **patched)
+            assert drift.startswith("trace drift") and drift_step > step
+            got_step, got = failure(record_every, **patched)
+            assert got.startswith(message) and got_step == step
+
+
 def test_step_bound_dominates_every_sector_generator():
     # check_step bounds ||L_hat||_inf by 2 max|h| + 4 sum_ab |K_ab| before any
     # sector is built; the bound must hold for L on all pairs and on the

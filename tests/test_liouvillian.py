@@ -562,6 +562,49 @@ def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
     assert np.array_equal(sector.L_hat, seen["perturbed"].toarray())
 
 
+def test_lumping_is_numbered_by_first_orbit_whatever_the_weights(monkeypatch):
+    # the coarsest lumpable partition is unique, and its blocks are numbered
+    # by their first orbit, so two weight streams give the same labels and a
+    # bitwise-equal L_hat; fig2's sweep points share one numbering, dense and
+    # CSR sectors alike
+    frame = FrameConfig(a=2.0)
+    seven = ([AtomSpec(omega=1.0, alpha=2.0)] * 3 + [AtomSpec(omega=1.0, alpha=2.6)] * 2
+             + [AtomSpec(omega=1.0, alpha=3.1)] * 2)
+    cases = [(counter_wedge_four(), all_ground(4)),
+             (LindbladGenerator(build_hamiltonian(seven, frame), same_wedge_rates(frame, seven)),
+              product_state("egegege"))]
+    for alpha in (2.0, 4.0, 10.0):
+        frame = FrameConfig(a=alpha)
+        six = [AtomSpec(omega=1.0, alpha=alpha)] * 6
+        cases.append((LindbladGenerator(build_hamiltonian(six, frame),
+                                        same_wedge_rates(frame, six)), all_excited(6)))
+    lump = liouvillian._lump
+    sparse, fig2_labels = [], []
+    for gen, rho in cases:
+        seen = []
+        with monkeypatch.context() as m:
+            m.setattr(liouvillian, "_lump", lambda *args: seen.append(args) or lump(*args))
+            sector = gen.sector(rho)
+        labels, L_hat = lump(*seen[0])
+        first = np.unique(labels, return_index=True)[1]
+        assert len(first) < len(labels) and np.all(np.diff(first) > 0)
+        with monkeypatch.context() as m:  # another weight stream
+            m.setattr(liouvillian, "_unit_hash",
+                      lambda x: np.random.default_rng(int(x[0]) + 1).random(len(x)))
+            other_labels, other_L_hat = lump(*seen[0])
+        assert np.array_equal(other_labels, labels)
+        sparse.append(sp.issparse(L_hat))
+        if sparse[-1]:
+            assert np.array_equal(other_L_hat.indptr, L_hat.indptr)
+            assert np.array_equal(other_L_hat.indices, L_hat.indices)
+            L_hat, other_L_hat = L_hat.data, other_L_hat.data
+        assert np.array_equal(other_L_hat, L_hat)
+        if gen.n_atoms == 6:
+            fig2_labels.append(sector.labels)
+    assert sparse == [False, True, False, False, False]
+    assert all(np.array_equal(labels, fig2_labels[0]) for labels in fig2_labels)
+
+
 def _orbit_counts(pairs, dim, classes):
     """Per pair (a, b), the number of atoms of type 11, 10 and 01 (bit in a,
     bit in b) in each class: its orbit under the permutations within classes."""
