@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .liouvillian import (LindbladGenerator, Sector, _density_checks, _first_failure,
-                          check_density_matrix)
+from .liouvillian import (LindbladGenerator, Sector, _density_checks, _density_failures,
+                          _first_failure, check_density_matrix)
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
 from .rates import RateSet, kossakowski_matrix
 
@@ -116,6 +116,7 @@ def partial_trace(rho: np.ndarray, keep: tuple[int, int]) -> np.ndarray:
     return np.einsum(rho.reshape([2] * (2 * n)), sub, [l, j, n + l, n + j]).reshape(4, 4)
 
 
+_PAIR_TOLERANCES = (1e-8, 1e-8, -1e-9)  # a pair state's Hermiticity, trace, eigenvalue floor
 _SY_SY = np.array([[0, 0, 0, -1],
                    [0, 0, 1, 0],
                    [0, 1, 0, 0],
@@ -128,7 +129,8 @@ def concurrence(rho2: np.ndarray) -> float | np.ndarray:
 
     rho2 may carry leading batch axes; then the array of concurrences is
     returned, and the first failing state in C order raises, with its first
-    failing check.
+    failing check. This is the generic path, by LAPACK, for any state: the
+    oracle of the closed forms that `evolve` uses for X-shaped pair states.
     """
     rho2 = np.asarray(rho2, dtype=complex)
     if rho2.shape[-2:] != (4, 4):
@@ -142,8 +144,56 @@ def concurrence(rho2: np.ndarray) -> float | np.ndarray:
 def _concurrence_core(rho2: np.ndarray):
     """The concurrences of the states rho2 (count, 4, 4) and their ordered
     checks: check_density_matrix's at 1e-8, then the spectrum of rho*rho_tilde."""
-    rho2, checks = _density_checks(rho2, 1e-8, 1e-8, -1e-9)
-    evals = np.linalg.eigvals(rho2 @ (_SY_SY @ rho2.conj() @ _SY_SY)).real
+    rho2, checks = _density_checks(rho2, *_PAIR_TOLERANCES)
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = rho2 @ (_SY_SY @ rho2.conj() @ _SY_SY)
+    # a product that overflows is zeroed, so that LAPACK never sees it: its
+    # state has an entry far beyond 1, so it fails a check above
+    product[~np.isfinite(product).all(axis=(1, 2))] = 0
+    return _wootters(np.linalg.eigvals(product).real, checks)
+
+
+# the entries of an X state, on the diagonal and the anti-diagonal: rho_ii,
+# then rho_03, rho_12, rho_21, rho_30
+_X_ROWS, _X_COLS = [0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]
+
+
+def _x_concurrence_core(rho2: np.ndarray):
+    """_concurrence_core for X states, whose entries off the diagonal and the
+    anti-diagonal are zero (they are not read): rho and rho*rho_tilde are
+    then direct sums of 2 x 2 blocks on {00, 11} and {01, 10}, so every
+    eigenvalue comes in closed form (Yu & Eberly, Quantum Inf. Comput. 7,
+    459, 2007). The same checks, in the same order, with the same messages."""
+    x = rho2[:, _X_ROWS, _X_COLS]
+    finite = np.isfinite(x).all(axis=1)
+    x = np.where(finite[:, None], x, 0)
+    # per block [[p, q], [r, s]]: {00, 11} in column 0, {01, 10} in column 1
+    p, s, q, r = x[:, [0, 1]], x[:, [3, 2]], x[:, [4, 5]], x[:, [7, 6]]
+    # an overflow or a division by zero comes from a state that fails a check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        herm = np.maximum(2.0 * np.abs(x[:, :4].imag).max(axis=1),
+                          np.abs(q - r.conj()).max(axis=1))
+        tr_err = np.abs(x[:, :4].sum(axis=1) - 1.0)
+        # the Hermitized block [[a, b], [b*, d]] has eigenvalues (a+d)/2 +- hypot((a-d)/2, |b|)
+        a, d = p.real, s.real
+        min_eig = ((a + d) / 2 - np.hypot((a - d) / 2, np.abs((q + r.conj()) / 2))).min(axis=1)
+        # M = B B_tilde, with B_tilde = [[s*, r*], [q*, p*]], has the eigenvalues
+        # m +- sqrt(e^2 + M01 M10) (m and e the half sum and half difference of
+        # its diagonal) and the determinant |det B|^2: the larger in size from
+        # the root, the smaller as the determinant over it, without cancellation
+        m00, m11 = p * s.conj() + q * q.conj(), r * r.conj() + s * p.conj()
+        m, e = (m00 + m11) / 2, (m00 - m11) / 2
+        root = np.sqrt(e * e + (p * r.conj() + q * p.conj()) * (r * s.conj() + s * q.conj()))
+        big = m + np.where((m.conj() * root).real >= 0, root, -root)
+        small = np.where(big != 0, np.abs(p * s - q * r) ** 2 / big, 0)
+        evals = np.hstack((small, big)).real
+    evals[~np.isfinite(evals).all(axis=1)] = 0  # as _concurrence_core's product
+    return _wootters(evals, _density_failures(finite, herm, tr_err, min_eig, *_PAIR_TOLERANCES))
+
+
+def _wootters(evals: np.ndarray, checks):
+    """The concurrences from the spectra of rho*rho_tilde (count, 4), and the
+    checks with the spectrum's appended."""
     low = evals.min(axis=1)
     checks.append((low < -1e-9, lambda i: f"spectrum of rho*rho_tilde has eigenvalue {low[i]:.3e}"))
     lam = np.sort(np.sqrt(np.clip(evals, 0.0, None)), axis=1)
@@ -158,6 +208,10 @@ class RecordMap:
     when `pair` is given, the 16 entries of the pair's reduced state in
     row-major order: each a 0/1 weight on the sector's pairs, summed over the
     blocks (`Sector.functionals`). R_tot is the sector's emission row.
+    `x_shaped` says that no pair of the sector reaches an entry of the pair
+    state off its diagonal and anti-diagonal: its concurrence and checks
+    then come from the closed forms of `_x_concurrence_core`, else from the
+    generic `_concurrence_core`, their oracle.
     """
 
     def __init__(self, sector: Sector, n: int, pair: tuple[int, int] | None):
@@ -180,6 +234,10 @@ class RecordMap:
                      + ((y >> j) & 1) + 2 * ((y >> l) & 1))
             weights += [traced & (entry == e) for e in range(16)]
         self.n_atoms = n
+        # an X-shaped pair state: no pair of the sector reaches an entry off
+        # the diagonal and the anti-diagonal, where r XOR c is 1 or 2
+        self.x_shaped = pair is not None and not any(
+            weights[-16 + e].any() for e in range(16) if ((e >> 2) ^ (e & 3)) in (1, 2))
         self.W = sector.functionals(np.array(weights))
         self.emission = sector.emission
         # Within a component of rho's rows, rows with equal label rows are
@@ -254,8 +312,8 @@ _last_record_map: RecordMap | None = None  # one slot: a sweep's runs share one 
 
 
 def _record_map(sector: Sector, n: int, pair: tuple[int, int] | None) -> RecordMap:
-    """RecordMap(sector, n, pair), with the W and quotients of the previous
-    call's map when it `fits`, and R_tot from this sector's emission row."""
+    """RecordMap(sector, n, pair), with the W, quotients and x_shaped of the
+    previous call's map when it `fits`, and R_tot from this sector's emission row."""
     global _last_record_map
     last = _last_record_map
     if last is None or not last.fits(sector, n, pair):
@@ -319,12 +377,15 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     structure, see `_record_map`) when their evaluation gathers 2^17 entries
     (`RecordMap.entries` per snapshot: about 2500 snapshots on fig2's
     N = 6 sector), before a trace-drift error and at the end of the run,
-    each on its own, so that a record does not depend on its batch. Each
-    state is checked for, in order, a non-finite entry, a trace error, an
-    eigenvalue below the floor, then, on records, a negative population and
-    an invalid reduced pair state; the earliest failing state raises its
-    first failing check as IntegrationError, naming its step, and a trace
-    drift raises at the step it happens, after the snapshots before it. So
+    each on its own, so that a record does not depend on its batch; the
+    reduced pair states of an X-shaped sector (every run from a basis
+    product state) by closed forms with no LAPACK call, any other by the
+    generic path of `concurrence`. Each state is checked for, in order, a
+    non-finite entry, a trace error, an eigenvalue below the floor, then, on
+    records, a negative population and an invalid reduced pair state; the
+    earliest failing state raises its first failing check as
+    IntegrationError, naming its step, and a trace drift raises at the step
+    it happens, after the snapshots before it. So
     a failure other than a trace drift keeps its step and message but is
     raised up to one batch, or the run's end, after its step: a
     positivity-breaking run (the N = 4 counter wedges from the ground state
@@ -410,7 +471,11 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         min_eig = record_map.min_eig(U)
         low = pops < _POP_FLOOR
         atom = low.argmax(axis=1)
-        conc, pair_checks = _concurrence_core(rho2) if pair else (np.zeros(len(U)), [])
+        if pair is None:
+            conc, pair_checks = np.zeros(len(U)), []
+        else:
+            kernel = _x_concurrence_core if record_map.x_shaped else _concurrence_core
+            conc, pair_checks = kernel(rho2)
         failure = _first_failure([
             (~finite, lambda i: "state became non-finite"),
             (trace_err > _TRACE_HARD,

@@ -96,7 +96,13 @@ def _density_checks(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floo
     herm = np.abs(rho - rho_h).max(axis=(1, 2))
     tr_err = np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0)
     min_eig = np.linalg.eigvalsh((rho + rho_h) / 2).min(axis=1)
-    return rho, [
+    return rho, _density_failures(finite, herm, tr_err, min_eig, herm_tol, trace_tol, eig_floor)
+
+
+def _density_failures(finite, herm, tr_err, min_eig, herm_tol, trace_tol, eig_floor):
+    """check_density_matrix's ordered checks, from each state's finiteness,
+    largest |rho - rho^H| entry, |Tr rho - 1| and lowest Hermitized eigenvalue."""
+    return [
         (~finite, lambda i: "density matrix has a non-finite entry"),
         (herm > herm_tol, lambda i: f"density matrix not Hermitian (max deviation {herm[i]:.3e})"),
         (tr_err > trace_tol, lambda i: f"density matrix trace off by {tr_err[i]:.3e}"),

@@ -32,13 +32,13 @@ def fmt(x: float) -> str:
 def write_csv(path: Path, header: list[str], rows) -> None:
     """Write the header and the rows (a 2-D array or a sequence of rows of
     numbers), _CSV_BLOCK_ROWS rows at a time, so that only one block's text
-    is held; one "%.17g" per value, the same text as fmt."""
+    is held; one "%.17g" per value, the same text as fmt, and one % per block."""
     row_format = ",".join(["%.17g"] * len(header)) + "\n"
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, len(rows), _CSV_BLOCK_ROWS):
-            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float).tolist()
-            fh.write("".join(row_format % tuple(row) for row in block))
+            block = np.asarray(rows[start:start + _CSV_BLOCK_ROWS], dtype=float)
+            fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 def execute_run(run: RunSpec):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -539,6 +540,127 @@ def test_min_eig_takes_the_row_quotient(monkeypatch):
             expected = np.min([eigvalsh(U0[:, idx]).min(axis=(1, 2))
                                for idx in sector.row_blocks()], axis=0)
             assert np.array_equal(low, expected)
+
+
+def _random_x_state(rng):
+    # a positive X state: a positive 2 x 2 block on {00, 11} and one on {01, 10},
+    # with a tenth of the identity, so that no eigenvalue of rho * rho_tilde
+    # is near 0, where its square root would magnify LAPACK's rounding
+    rho = np.zeros((4, 4), dtype=complex)
+    for idx in ([0, 3], [1, 2]):
+        g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho[np.ix_(idx, idx)] = g @ g.conj().T
+    return 0.9 * rho / rho.trace().real + 0.025 * np.eye(4)
+
+
+def _first_check(checks):
+    # (first failing state, its first failing check), or None
+    bad = np.array([mask for mask, _ in checks])
+    if not bad.any():
+        return None
+    i = int(bad.any(axis=0).argmax())
+    k = int(bad[:, i].argmax())
+    return i, k, checks[k][1](i)
+
+
+def test_x_kernel_matches_the_generic_kernel():
+    # batches of X states, each with one broken state at a random place: the
+    # closed forms pick the generic kernel's first failing state and check,
+    # with its message, and its concurrences, without a warning
+    rng = np.random.default_rng(53)
+
+    def non_hermitian(rho):
+        rho[1, 2] += 1e-3j
+        return rho
+
+    def negative(rho):
+        rho[0, 0] -= 0.5  # the trace stays 1
+        rho[3, 3] += 0.5
+        return rho
+
+    def non_finite(rho):
+        rho[0, 3] = np.nan
+        return rho
+
+    def huge(rho):
+        rho[0, 3] = rho[3, 0] = 1e200  # rho * rho_tilde overflows in either kernel
+        return rho
+
+    breaks = [None, non_hermitian, lambda rho: 1.5 * rho, negative, non_finite, huge,
+              lambda rho: rho + np.diag([0.0, 0.0, 0.0, 1e200])]
+    seen = set()
+    for broken in breaks:
+        for _ in range(5):
+            states = np.array([_random_x_state(rng) for _ in range(12)])
+            if broken is not None:
+                states[rng.integers(12)] = broken(states[rng.integers(12)].copy())
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                x_conc, x_checks = dynamics._x_concurrence_core(states)
+                conc, checks = dynamics._concurrence_core(states)
+            failure = _first_check(checks)
+            assert _first_check(x_checks) == failure
+            # a failing state's concurrence is never recorded
+            valid = ~np.array([mask for mask, _ in checks]).any(axis=0)
+            assert valid.sum() >= 11
+            assert np.abs(x_conc - conc)[valid].max() < 1e-14
+            seen.add(failure and failure[1])
+    # every check of the density matrix fails on some batch
+    assert seen == {None, 0, 1, 2, 3}
+    # the closed forms agree with the generic kernel over the whole range of concurrence
+    states = np.array([_random_x_state(rng) for _ in range(400)])
+    conc = dynamics._concurrence_core(states)[0]
+    assert conc.max() > 0.5 and (conc == 0).any()
+    assert np.abs(dynamics._x_concurrence_core(states)[0] - conc).max() < 1e-14
+    # pure X states a|00> + d|11> and b|01> + c|10>, of concurrence 2|ad| and
+    # 2|bc|: the smaller root of each block comes without cancellation, where
+    # LAPACK's rounding, magnified by the square roots, loses half the digits
+    amp = rng.normal(size=(200, 2)) + 1j * rng.normal(size=(200, 2))
+    amp /= np.linalg.norm(amp, axis=1)[:, None]
+    psi = np.zeros((200, 4), dtype=complex)
+    psi[:100, 0], psi[:100, 3] = amp[:100].T
+    psi[100:, 1], psi[100:, 2] = amp[100:].T
+    pure = psi[:, :, None] * psi[:, None, :].conj()
+    exact = 2.0 * np.abs(amp[:, 0] * amp[:, 1])
+    assert np.abs(dynamics._x_concurrence_core(pure)[0] - exact).max() < 1e-14
+    assert np.abs(dynamics._concurrence_core(pure)[0] - exact).max() > 1e-10
+
+
+def test_x_shaped_sectors_use_the_closed_forms(monkeypatch):
+    # every run path starts from a basis product state, so its reduced pair
+    # states are X states: the counter wedges record every step without eigvals
+    for rho0, h, rs, pairing, pair in _record_map_cases():
+        sector = LindbladGenerator(h, rs, pairing).sector(rho0)
+        assert RecordMap(sector, rs.n_atoms, pair).x_shaped
+    rho0, h, rs, pairing, pair = _record_map_cases()[2]
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def spy(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", spy)
+    ts = evolve(rho0, h, rs, t_max=0.2, dt=1e-3, record_every=1, retain_states=True,
+                concurrence_pair=pair)
+    assert not calls
+    assert ts.column("C_conc").max() > 0.0
+    assert np.abs(ts.column("C_conc") - [concurrence(partial_trace(s, pair))
+                                          for s in ts.states]).max() < 1e-13
+    # a superposition of excitation numbers has a pair state off the X shape,
+    # which the generic kernel evaluates: here a maximally entangled one whose
+    # X part alone has concurrence 0
+    frame, atoms, rs, h = resonant_system(3)
+    psi = np.zeros(8, dtype=complex)
+    psi[:4] = [0.5, 0.5, -0.5, 0.5]  # atoms 0 and 1, atom 2 in its ground state
+    rho0 = np.outer(psi, psi.conj())
+    assert not RecordMap(LindbladGenerator(h, rs).sector(rho0), 3, (0, 1)).x_shaped
+    calls.clear()
+    ts = evolve(rho0, h, rs, t_max=1.0, dt=1e-3, record_every=50, retain_states=True)
+    assert calls
+    assert ts.column("C_conc")[0] == pytest.approx(1.0, abs=1e-13)
+    assert np.abs(ts.column("C_conc") - [concurrence(partial_trace(s, (0, 1)))
+                                          for s in ts.states]).max() < 1e-13
 
 
 def _per_step_states(sector, u, dt, nsteps, record_every):
