@@ -11,8 +11,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, IntegrationError
-from .liouvillian import (LindbladGenerator, Sector, _density_checks, _density_failures,
-                          _first_failure, check_density_matrix)
+from .liouvillian import (_NON_FINITE, LindbladGenerator, Sector, _check_square, _density_checks,
+                          _density_failures, _first_failure)
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
 from .rates import RateSet, kossakowski_matrix
 
@@ -209,9 +209,10 @@ class RecordMap:
     row-major order: each a 0/1 weight on the sector's pairs, summed over the
     blocks (`Sector.functionals`). R_tot is the sector's emission row.
     `x_shaped` says that no pair of the sector reaches an entry of the pair
-    state off its diagonal and anti-diagonal: its concurrence and checks
-    then come from the closed forms of `_x_concurrence_core`, else from the
-    generic `_concurrence_core`, their oracle.
+    state off its diagonal and anti-diagonal: W then has rows for the 8
+    entries on them only, and the concurrence and checks come from the closed
+    forms of `_x_concurrence_core`, else from the generic `_concurrence_core`,
+    their oracle.
     """
 
     def __init__(self, sector: Sector, n: int, pair: tuple[int, int] | None):
@@ -235,9 +236,12 @@ class RecordMap:
             weights += [traced & (entry == e) for e in range(16)]
         self.n_atoms = n
         # an X-shaped pair state: no pair of the sector reaches an entry off
-        # the diagonal and the anti-diagonal, where r XOR c is 1 or 2
+        # the diagonal and the anti-diagonal, where r XOR c is 1 or 2; W then
+        # keeps only the 8 entries on them, in the order of _X_ROWS, _X_COLS
         self.x_shaped = pair is not None and not any(
             weights[-16 + e].any() for e in range(16) if ((e >> 2) ^ (e & 3)) in (1, 2))
+        if self.x_shaped:
+            weights[-16:] = [weights[-16 + 4 * r + c] for r, c in zip(_X_ROWS, _X_COLS)]
         self.W = sector.functionals(np.array(weights))
         self.emission = sector.emission
         # Within a component of rho's rows, rows with equal label rows are
@@ -289,23 +293,35 @@ class RecordMap:
         V = (np.matmul(self.W, U[:, :, None])[:, :, 0] if isinstance(self.W, np.ndarray)
              else (self.W @ U.T).T)
         corr_end = n + 1 + n * (n - 1) // 2
-        rho2 = V[:, corr_end:].reshape(-1, 4, 4) if V.shape[1] > corr_end else None
+        if V.shape[1] == corr_end:
+            rho2 = None
+        elif self.x_shaped:  # zero off the diagonal and the anti-diagonal
+            rho2 = np.zeros((len(V), 4, 4), dtype=complex)
+            rho2[:, _X_ROWS, _X_COLS] = V[:, corr_end:]
+        else:
+            rho2 = V[:, corr_end:].reshape(-1, 4, 4)
         return (V[:, :n].real, V[:, n], V[:, n + 1:corr_end], rho2,
                 -np.matmul(U[:, None, :], self.emission[:, None])[:, 0, 0].real)
 
     def min_eig(self, U: np.ndarray) -> np.ndarray:
-        """Lowest eigenvalue of rho for each block vector in the rows of U,
-        from one stacked eigvalsh per (row-block size, row classes): on the
-        m x m quotients D^1/2 C D^1/2 of a lumped block, with its s - m exact
-        zeros as min(., 0), and on the row blocks themselves where every row
-        is its own class. A 1 x 1 quotient is its own eigenvalue."""
-        U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
-        lows = []
-        for q, scale, cap in self.quotients:
-            C = U0[:, q] * scale
-            eig = C[..., 0].real if C.shape[-1] == 1 else np.linalg.eigvalsh(C)
-            lows.append(np.minimum(eig.min(axis=(1, 2)), cap))
-        return np.min(lows, axis=0)
+        """Lowest eigenvalue of rho for each block vector in the rows of U
+        (`_lowest_eigenvalues` of the row-block quotients)."""
+        return _lowest_eigenvalues(self.quotients, U)
+
+
+def _lowest_eigenvalues(quotients, U: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of rho for each block vector in the rows of U, from
+    one stacked eigvalsh per (row-block size, row classes) of a RecordMap's
+    `quotients`: on the m x m quotients D^1/2 C D^1/2 of a lumped block, with
+    its s - m exact zeros as min(., 0), and on the row blocks themselves where
+    every row is its own class. A 1 x 1 quotient is its own eigenvalue."""
+    U0 = np.concatenate([U, np.zeros((len(U), 1))], axis=1)
+    lows = []
+    for q, scale, cap in quotients:
+        C = U0[:, q] * scale
+        eig = C[..., 0].real if C.shape[-1] == 1 else np.linalg.eigvalsh(C)
+        lows.append(np.minimum(eig.min(axis=(1, 2)), cap))
+    return np.min(lows, axis=0)
 
 
 _last_record_map: RecordMap | None = None  # one slot: a sweep's runs share one sector structure
@@ -321,6 +337,27 @@ def _record_map(sector: Sector, n: int, pair: tuple[int, int] | None) -> RecordM
     record_map = copy.copy(last)
     record_map.emission = sector.emission
     return record_map
+
+
+_RHO0_TOLERANCES = (1e-10, 1e-10, -1e-9)  # check_density_matrix's defaults
+
+
+def _check_on_sector(sector: Sector, u: np.ndarray, quotients) -> None:
+    """check_density_matrix's Hermiticity, trace and eigenvalue checks, in
+    that order and with its messages, on the state of block vector u, with no
+    dim x dim matrix formed: max |u - conj(u[block_swap])|, |diag_count @ u - 1|
+    and the lowest eigenvalue of the Hermitized u on the row-block `quotients`.
+    They are those of rho when sector.scatter(u) is rho, as it is for the
+    state a sector is built from: its nonzeros lie on the pairs, and the
+    blocks refine its values."""
+    swap = sector.block_swap
+    herm = np.abs(u - u[swap].conj()).max(initial=0.0)
+    tr_err = abs(sector.diag_count @ u - 1.0)
+    low = _lowest_eigenvalues(quotients, ((u + u[swap].conj()) / 2)[None])
+    checks = _density_failures(np.ones(1, dtype=bool), np.array([herm]), np.array([tr_err]),
+                               low, *_RHO0_TOLERANCES)
+    if failure := _first_failure(checks):
+        raise DomainError(failure[1])
 
 
 def check_step(H: np.ndarray | None, rates: RateSet, dt: float,
@@ -354,7 +391,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     energies of `build_hamiltonian`, or None for the interaction picture.
 
     The state is kept as the block vector u of the lumped sector of rho0
-    (`LindbladGenerator.sector`). Observables are recorded every
+    (`LindbladGenerator.sector`, whose structure a sweep builds once).
+    rho0 gets check_density_matrix's checks and messages, in its order, but
+    only its shape and finiteness on the full matrix; the concurrence pair
+    and the step (`check_step`) are checked next, then rho0's Hermiticity,
+    trace and lowest eigenvalue on its sector (`_check_on_sector`), with no
+    dim x dim matrix formed. Observables are recorded every
     `record_every` (an integer >= 1) steps and at the final time, and
     invariants are hard-checked every 100 steps and at the final time; the
     checks are the events. u goes from check to check by k RK4 steps
@@ -408,8 +450,12 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         raise DomainError(f"t_max = {t_max} is not a whole number of steps dt = {dt}")
     gen = LindbladGenerator(H, rates, cross_pairing)
     n = gen.n_atoms
-    rho = np.array(rho0, dtype=complex)
-    check_density_matrix(rho)
+    # rho0 gets check_density_matrix's checks in their order: its shape and
+    # finiteness here, on every entry, and the others on its sector
+    rho = np.asarray(rho0, dtype=complex)
+    _check_square(rho)
+    if not np.isfinite(rho).all():
+        raise DomainError(_NON_FINITE)
     if n >= 2:
         pair = tuple(concurrence_pair)
         if (len(pair) != 2 or pair[0] == pair[1]
@@ -422,6 +468,7 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     sector = gen.sector(rho)
     u = sector.gather(rho)
     record_map = _record_map(sector, n, pair)
+    _check_on_sector(sector, u, record_map.quotients)
     L_hat, swap = sector.L_hat, sector.block_swap
     dense = isinstance(L_hat, np.ndarray)
 

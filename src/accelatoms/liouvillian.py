@@ -99,11 +99,14 @@ def _density_checks(rho: np.ndarray, herm_tol: float, trace_tol: float, eig_floo
     return rho, _density_failures(finite, herm, tr_err, min_eig, herm_tol, trace_tol, eig_floor)
 
 
+_NON_FINITE = "density matrix has a non-finite entry"
+
+
 def _density_failures(finite, herm, tr_err, min_eig, herm_tol, trace_tol, eig_floor):
     """check_density_matrix's ordered checks, from each state's finiteness,
     largest |rho - rho^H| entry, |Tr rho - 1| and lowest Hermitized eigenvalue."""
     return [
-        (~finite, lambda i: "density matrix has a non-finite entry"),
+        (~finite, lambda i: _NON_FINITE),
         (herm > herm_tol, lambda i: f"density matrix not Hermitian (max deviation {herm[i]:.3e})"),
         (tr_err > trace_tol, lambda i: f"density matrix trace off by {tr_err[i]:.3e}"),
         (min_eig < eig_floor,
@@ -117,11 +120,15 @@ def check_density_matrix(rho: np.ndarray, herm_tol: float = 1e-10,
     then the first failing state in C order raises, with its first failing
     check."""
     rho = np.asarray(rho)
-    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
-        raise DomainError(f"density matrix must be square, got shape {rho.shape}")
+    _check_square(rho)
     _, checks = _density_checks(rho.reshape(-1, *rho.shape[-2:]), herm_tol, trace_tol, eig_floor)
     if failure := _first_failure(checks):
         raise DomainError(failure[1])
+
+
+def _check_square(rho: np.ndarray) -> None:
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
+        raise DomainError(f"density matrix must be square, got shape {rho.shape}")
 
 
 def thermal_state(H: np.ndarray, beta: float) -> np.ndarray:
@@ -207,9 +214,39 @@ class Sector:
         for s in np.flatnonzero(np.bincount(size)):  # a plain np.unique loads numpy.ma
             members = rows[start[size == s, None] + np.arange(s)]
             p = members[:, :, None] * dim + members[:, None, :]
+            if not len(self.pairs):  # the zero state's sector
+                blocks.append(np.full(p.shape, k))
+                continue
             i = np.minimum(np.searchsorted(self.pairs, p), len(self.pairs) - 1)
             blocks.append(np.where(self.pairs[i] == p, self.labels[i], k))
         return blocks
+
+
+class _Slot:
+    """One cached value and the key it was built for, as `dynamics._record_map`
+    keeps one RecordMap: a sweep's runs share one structure. Keys are values
+    (numbers, tuples and bytes), never object ids or data pointers; every
+    array of a value is made read-only. A first build fills the slot."""
+
+    def __init__(self):
+        self.key = self.value = None
+
+    def get(self, key, build):
+        if self.value is None or self.key != key:
+            value = build()
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            self.key, self.value = key, value
+        return self.value
+
+    def clear(self):
+        self.key = self.value = None
+
+
+# what depends only on structure: the merged pieces of K's nonzero positions,
+# the jump table of the pieces kept, the orbit keys of the atom classes and
+# the search of a sector; see LindbladGenerator and restrict
+_merged, _jumps, _orbits, _searches = _Slot(), _Slot(), _Slot(), _Slot()
 
 
 def _orbit_keys(dim: int, classes: Sequence[Sequence[int]]) -> np.ndarray:
@@ -219,7 +256,12 @@ def _orbit_keys(dim: int, classes: Sequence[Sequence[int]]) -> np.ndarray:
     of type 11 first, then 10, 01 and 00 (bit in a, bit in b). An orbit is
     the per-class counts of the types, found by popcounts, so equal keys are
     one orbit; an atom in no class keeps its bits. int32, in _ASSEMBLY_CHUNK
-    pairs at a time."""
+    pairs at a time; read-only, built once per (dim, classes)."""
+    classes = tuple(map(tuple, classes))
+    return _orbits.get((dim, classes), lambda: _build_orbit_keys(dim, classes))
+
+
+def _build_orbit_keys(dim: int, classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
     keys = np.empty(dim * dim, dtype=np.int32)
     bits = np.zeros((len(classes), max(map(len, classes)) + 1), dtype=np.int64)
     for c, atoms in enumerate(classes):
@@ -336,6 +378,44 @@ def _lump(L: tuple[np.ndarray, np.ndarray, np.ndarray], swap: np.ndarray,
     return np.arange(m), _matrix(rows, cols, vals, (m, m))
 
 
+def _merge_pieces(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The pieces of the terms K[a, b] [A_a rho, A_b^+] + h.c. merged by their
+    maps: the merged piece of each of the 4 pieces per (a, b), numbered in
+    first-appearance order, and the merged pieces' maps (fl, fr) over the
+    basis, dim where the product vanishes."""
+    # coef [A_a rho, A_b^+] + h.c. = coef A_a rho A_b^+ - coef A_b^+ A_a rho
+    #     + coef* A_b rho A_a^+ - coef* rho A_a^+ A_b; the right factor acts on
+    # the column index through its transpose (A_b^+ -> A_b, A_a^+ A_b -> A_b^+ A_a)
+    dim = 2**n
+    table = _ladder_table(n)  # row a is A_a, row b A_b, row (b + N) mod 2N A_b^+
+    op_a, op_b = table[a], table[b]
+    prod = table[((b + n) % (2 * n))[:, None], op_a]  # A_b^+ A_a
+    one = np.broadcast_to(table[2 * n], op_a.shape)
+    fl = np.stack((op_a, prod, op_b, one), axis=1).reshape(-1, dim + 1)
+    fr = np.stack((op_b, one, op_a, prod), axis=1).reshape(-1, dim + 1)
+    # merge equal pieces (as byte strings) in first-appearance order
+    maps = np.hstack((fl, fr))
+    maps = maps.view(np.dtype((np.void, maps.itemsize * maps.shape[1]))).ravel()
+    _, first, inverse = np.unique(maps, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return rank[inverse], fl[first[order], :dim], fr[first[order], :dim]
+
+
+def _jump_table(fl: np.ndarray, fr: np.ndarray, dim: int) -> tuple[np.ndarray, ...]:
+    """The pieces (fl, fr) split into those that act on the left index alone
+    and those that act on the right index alone, both leaving the pair in
+    place where they do not vanish (their masks of nonvanishing images), and
+    the moves, transposed: row x of the last two is x's image under every move."""
+    ident = np.arange(dim)
+    on_left = (fr == ident).all(1) & ((fl == ident) | (fl == dim)).all(1)
+    on_right = ~on_left & (fl == ident).all(1) & ((fr == ident) | (fr == dim)).all(1)
+    moves = ~(on_left | on_right)
+    return (on_left, on_right, moves, fl[on_left] != dim, fr[on_right] != dim,
+            fl[moves].T.copy(), fr[moves].T.copy())
+
+
 class LindbladGenerator:
     """The master equation compiled to one jump table over density-matrix pairs.
 
@@ -350,6 +430,13 @@ class LindbladGenerator:
     pair index p = a * dim + b (row-major in rho); with every atom its own
     class an orbit is one pair and the quotient is L. The table is 2^N rows
     wide, so N is limited to about 12 by memory.
+
+    The merged pieces depend only on N and the nonzero positions of K, and
+    the jump table (the split into moves and diagonal pieces, transposed)
+    also on which merged pieces have nonzero weight: both are built once per
+    such structure and shared, read-only, by the generators that have it,
+    as the runs of a sweep do. Each generator sums its own weights and
+    diagonals.
     """
 
     def __init__(self, H: np.ndarray | None, rates: RateSet,
@@ -364,35 +451,24 @@ class LindbladGenerator:
         if h.shape != (dim,):
             raise DomainError(f"H has shape {h.shape}, expected its energies, shape {(dim,)}")
 
-        # coef [A_a rho, A_b^+] + h.c. = coef A_a rho A_b^+ - coef A_b^+ A_a rho
-        #     + coef* A_b rho A_a^+ - coef* rho A_a^+ A_b; the right factor acts on
-        # the column index through its transpose (A_b^+ -> A_b, A_a^+ A_b -> A_b^+ A_a)
+        # the structure is compiled once per (N, K's nonzero positions, merged
+        # pieces of nonzero weight); the weights are this generator's own
         a, b = np.nonzero(K)  # row-major, the order the pieces merge in
         coef = K[a, b]
-        table = _ladder_table(n)  # row a is A_a, row b A_b, row (b + N) mod 2N A_b^+
-        op_a, op_b = table[a], table[b]
-        prod = table[((b + n) % (2 * n))[:, None], op_a]  # A_b^+ A_a
-        one = np.broadcast_to(table[2 * n], op_a.shape)
-        fl = np.stack((op_a, prod, op_b, one), axis=1).reshape(-1, dim + 1)
-        fr = np.stack((op_b, one, op_a, prod), axis=1).reshape(-1, dim + 1)
+        positions = (n, (a * 2 * n + b).tobytes())
+        piece, fl, fr = _merged.get(positions, lambda: _merge_pieces(n, a, b))
+        # the weights of the merged pieces, each summed in piece order
         w = np.stack((coef, -coef, coef.conj(), -coef.conj()), axis=1).ravel()
-        # merge equal pieces (as byte strings) in first-appearance order, weights in piece order
-        maps = np.hstack((fl, fr))
-        maps = maps.view(np.dtype((np.void, maps.itemsize * maps.shape[1]))).ravel()
-        _, first, inverse = np.unique(maps, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        w = (np.bincount(inverse, w.real) + 1j * np.bincount(inverse, w.imag))[order]
-        kept = first[order][w != 0]
-        fl, fr, w = fl[kept, :dim], fr[kept, :dim], w[w != 0]
-
-        ident = np.arange(dim)
-        on_left = (fr == ident).all(1) & ((fl == ident) | (fl == dim)).all(1)
-        on_right = ~on_left & (fl == ident).all(1) & ((fr == ident) | (fr == dim)).all(1)
-        self._left_diag = np.vstack((-1j * h, w[on_left, None] * (fl[on_left] != dim))).sum(0)
-        self._right_diag = np.vstack((1j * h, w[on_right, None] * (fr[on_right] != dim))).sum(0)
+        w = np.bincount(piece, w.real) + 1j * np.bincount(piece, w.imag)
+        kept = w != 0
+        self._structure = (*positions, kept.tobytes())
+        on_left, on_right, moves, left, right, self._fl, self._fr = _jumps.get(
+            self._structure, lambda: _jump_table(fl[kept], fr[kept], dim))
+        w = w[kept]
+        self._left_diag = np.vstack((-1j * h, w[on_left, None] * left)).sum(0)
+        self._right_diag = np.vstack((1j * h, w[on_right, None] * right)).sum(0)
         self._K, self._h = K, h  # what an atom swap must leave equal (atom_classes)
-        moves = ~(on_left | on_right)  # row x of _fl, _fr: x's image under every jump
-        self._fl, self._fr, self._w = fl[moves].T.copy(), fr[moves].T.copy(), w[moves]
+        self._w = w[moves]
 
     def atom_classes(self, rho: np.ndarray) -> list[list[int]]:
         """The classes of interchangeable atoms of the generator with the state
@@ -451,12 +527,48 @@ class LindbladGenerator:
         set of bits and the diagonal none, so no (row, col) repeats and
         nothing is summed. Each representative's jumps are gathered once,
         _ASSEMBLY_CHUNK jump x pair entries at a time; the gather marks new
-        orbits and keeps every live (source, target orbit, jump)."""
+        orbits and keeps every live (source, target orbit, jump).
+
+        That search (`_search`) depends only on the generator's structure,
+        the support and the orbit keys, so it is kept for them, by value, and
+        a repeated call gathers nothing; each call sums its own diagonal and
+        the jumps' weights into the quotient's entries."""
+        dim = self.dim
+        support = np.asarray(support, dtype=np.intp)
+        keys, tgt, src, jump, size = _searches.get(
+            (self._structure, support.tobytes(), None if key is None else key.tobytes()),
+            lambda: self._search(support, key))
+        diag = self._left_diag[keys // dim] + self._right_diag[keys % dim]
+        on = diag.nonzero()[0]
+        # the diagonal first, then the gathered entries
+        vals = np.concatenate((diag[on], self._w[jump]))
+        rows = np.concatenate((on, tgt), dtype=np.int32)
+        cols = np.concatenate((on, src), dtype=np.int32)
+        # the quotient's repeats are summed in the order gathered, so its sort
+        # is stable; L has none, and the faster sort gives it the same order
+        entry = rows.astype(np.int64) * len(keys) + cols
+        order = np.argsort(entry, kind=None if key is None else "stable")
+        vals = vals[order]
+        rows = rows[order]
+        cols = cols[order]
+        if key is not None:  # jumps of one representative into one orbit
+            first = np.flatnonzero(np.diff(entry[order], prepend=-1))
+            vals = np.add.reduceat(vals, first)
+            rows, cols = rows[first], cols[first]
+            vals *= size[cols] / size[rows]
+        return keys, (rows, cols, vals)
+
+    def _search(self, support: np.ndarray, key: np.ndarray | None) -> tuple[np.ndarray, ...]:
+        """restrict's search, which depends only on the generator's structure,
+        the support and the orbits: the reachable orbit keys, the position of
+        the target and the source orbit and the jump of every gathered live
+        entry, in the order gathered, and the size of every reachable orbit
+        (empty without a key)."""
         dim, jumps = self.dim, len(self._w)
         orbit = (lambda p: p) if key is None else key.__getitem__
         step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
         seen = np.zeros(dim**2, dtype=bool)
-        seen[orbit(np.asarray(support, dtype=np.intp))] = True
+        seen[orbit(support)] = True
         frontier = seen.nonzero()[0]
         src, tgt, jump = [], [], []  # int32: pair indices are below 4^10
         while frontier.size:
@@ -472,31 +584,13 @@ class LindbladGenerator:
             frontier = (found & ~seen).nonzero()[0]
             seen[frontier] = True
         keys = seen.nonzero()[0]
-        diag = self._left_diag[keys // dim] + self._right_diag[keys % dim]
-        on = diag.nonzero()[0]
         position = np.empty(dim**2, dtype=np.int32)  # read at the keys only
         position[keys] = np.arange(len(keys))
-        # the diagonal first, then the kept entries; the kept arrays and the
-        # table are freed before the row-major sort, each unsorted array as
-        # soon as its sorted copy exists
-        vals = np.concatenate([diag[on], *(self._w[j] for j in jump)])
-        rows = np.concatenate([on, *(position[t] for t in tgt)], dtype=np.int32)
-        cols = np.concatenate([on, *(position[s] for s in src)], dtype=np.int32)
-        del src, tgt, jump, position
-        # the quotient's repeats are summed in the order gathered, so its sort
-        # is stable; L has none, and the faster sort gives it the same order
-        entry = rows.astype(np.int64) * len(keys) + cols
-        order = np.argsort(entry, kind=None if key is None else "stable")
-        vals = vals[order]
-        rows = rows[order]
-        cols = cols[order]
-        if key is not None:  # jumps of one representative into one orbit
-            first = np.flatnonzero(np.diff(entry[order], prepend=-1))
-            vals = np.add.reduceat(vals, first)
-            rows, cols = rows[first], cols[first]
-            size = np.bincount(key)[keys]
-            vals *= size[cols] / size[rows]
-        return keys, (rows, cols, vals)
+        none = np.zeros(0, dtype=np.int32)
+        return (keys, np.concatenate([none, *(position[t] for t in tgt)]),
+                np.concatenate([none, *(position[s] for s in src)]),
+                np.concatenate([none, *jump]),
+                np.ones(0) if key is None else np.bincount(key)[keys])
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
@@ -505,7 +599,11 @@ class LindbladGenerator:
         and fix rho, so their orbits lump exactly: L is assembled only as the
         orbit quotient (`restrict`), which `_lump` then lumps further. L
         commutes with Hermitian conjugation, so the pairs are closed under
-        (a, b) -> (b, a), and so are the orbits and the blocks."""
+        (a, b) -> (b, a), and so are the orbits and the blocks. The orbit
+        keys and the search are built once per structure, atom classes and
+        support; the classes and the lumping depend on values and are found
+        on every call. rho is constant on every block and zero off the pairs,
+        so scatter(gather(rho)) is rho exactly."""
         rho = np.asarray(rho)
         dim = self.dim
         if rho.shape != (dim, dim):

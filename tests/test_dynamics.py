@@ -804,6 +804,46 @@ def test_evolve_rejects_an_invalid_rho0_with_its_message():
         evolve(mixed, h, rs, t_max=1.0)
 
 
+def test_evolve_checks_rho0_on_its_sector(monkeypatch):
+    # every invalid rho0 gets check_density_matrix's message, whichever of
+    # its checks fails first, though evolve checks only the shape and the
+    # finiteness on the full matrix
+    frame, atoms, rs, h = resonant_system(2)
+    nan = all_excited(2)
+    nan[1, 2] = np.nan
+    off_trace = np.diag([0.6, 0.0, 0.0, 0.6])
+    negative = np.diag([1.5, -0.5, 0.0, 0.0])
+    non_hermitian = all_excited(2)
+    non_hermitian[0, 3] = 0.1
+    mixed = np.zeros((4, 4))
+    mixed[1, 1] = mixed[2, 2] = 0.5
+    mixed[1, 2] = mixed[2, 1] = 0.7
+    for rho in (np.zeros((4, 3)), np.zeros(4), nan, np.zeros((4, 4)), off_trace, negative,
+                non_hermitian, mixed):
+        with pytest.raises(DomainError) as expected:
+            check_density_matrix(rho)
+        with pytest.raises(DomainError) as err:
+            evolve(rho, h, rs, t_max=1.0)
+        assert str(err.value) == str(expected.value)
+    # N = 10 atoms from the all-excited state: no eigvalsh is larger than the
+    # largest row quotient of the sector (1 x 1 on the Dicke ladder), where
+    # the full check took one of 1024 x 1024
+    frame, atoms, rs, h = resonant_system(10)
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a):
+        shapes.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    ts = evolve(all_excited(10), h, rs, t_max=0.05, dt=0.005)
+    assert ts.column("P_tot")[0] == 10.0
+    largest = max(q.shape[-1] for q, _, _ in dynamics._last_record_map.quotients)
+    assert all(shape[-1] <= largest for shape in shapes)
+    assert largest == 1 and not shapes
+
+
 def test_integration_error_counts_the_steps_taken(monkeypatch):
     # every failure names its state by the steps taken to reach it, the state
     # at time step * dt, whichever check finds it; a CSR sector (every sector,

@@ -351,6 +351,14 @@ class _CountedGathers:
         return self.table[rows]
 
 
+def _clear_slots():
+    # a repeated build is served from the structure slots and gathers
+    # nothing, so a count of gathers starts from empty slots
+    for slot in (liouvillian._merged, liouvillian._jumps, liouvillian._orbits,
+                 liouvillian._searches):
+        slot.clear()
+
+
 def test_assembly_in_several_chunks_matches_one(monkeypatch):
     frame = FrameConfig(a=2.0)
     atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 6
@@ -364,11 +372,13 @@ def test_assembly_in_several_chunks_matches_one(monkeypatch):
         monkeypatch.setattr(gen, "_fl", spy)
     # the whole sector as the support is one frontier, gathered in one chunk
     for (gen, _), (pairs, _), spy in zip(cases, whole, spies):
+        _clear_slots()
         assert np.array_equal(gen.restrict(pairs)[0], pairs) and spy.count == 1
     monkeypatch.setattr(liouvillian, "_ASSEMBLY_CHUNK", 1000)
     for (gen, support), (pairs, L), seen, spy in zip(cases, whole, reached, spies):
         for start in (pairs, support):
             spy.count = 0
+            _clear_slots()
             chunked_pairs, chunked = gen.restrict(start)
             assert spy.count > 10
             assert np.array_equal(chunked_pairs, pairs)
@@ -707,15 +717,139 @@ def test_symmetric_sector_gathers_only_orbit_representatives(monkeypatch):
     gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
     spy = _CountedGathers(gen._fl)
     monkeypatch.setattr(gen, "_fl", spy)
+    _clear_slots()
     sector = gen.sector(all_excited(6))
     assert len(sector.pairs) == 924 and sector.L_hat.shape == (7, 7)
     assert spy.rows == 16
     # the orbit keys and the gathers in several chunks give the same sector
     monkeypatch.setattr(liouvillian, "_ASSEMBLY_CHUNK", 1000)
+    _clear_slots()
     chunked = gen.sector(all_excited(6))
     assert spy.rows == 32 and spy.count > 3
     for field in dataclasses.fields(sector):
         assert np.array_equal(getattr(chunked, field.name), getattr(sector, field.name))
+
+
+def _counted(function, name, calls):
+    def counted(*args):
+        calls.append(name)
+        return function(*args)
+    return counted
+
+
+def _count_structure_builds(monkeypatch):
+    # the names of the structure builds made from here on
+    builds = []
+    for name in ("_merge_pieces", "_jump_table", "_build_orbit_keys"):
+        monkeypatch.setattr(liouvillian, name, _counted(getattr(liouvillian, name), name, builds))
+    monkeypatch.setattr(LindbladGenerator, "_search",
+                        _counted(LindbladGenerator._search, "_search", builds))
+    return builds
+
+
+def _same_bits(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    return x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def _fresh_sector(h, rates, rho, cross_pairing="anomalous"):
+    _clear_slots()
+    return LindbladGenerator(h, rates, cross_pairing).sector(rho)
+
+
+def test_a_sweep_compiles_its_structure_once(monkeypatch):
+    # fig2's five sweep points share N, the nonzero positions of K and its
+    # kept pieces, the atom classes and the support of rho0: the pieces are
+    # merged, the jumps split, the orbit keys built and the sector searched
+    # once, and each run's sector is bit for bit one built from empty slots
+    from accelatoms.dynamics import evolve
+    sectors = []
+    build = LindbladGenerator.sector
+
+    def kept(self, rho):
+        sectors.append(build(self, rho))
+        return sectors[-1]
+
+    _clear_slots()
+    builds = _count_structure_builds(monkeypatch)
+    monkeypatch.setattr(LindbladGenerator, "sector", kept)
+    systems = []
+    for alpha in (2.0, 4.0, 6.0, 8.0, 10.0):
+        frame = FrameConfig(a=alpha)
+        atoms = [AtomSpec(omega=1.0, alpha=alpha)] * 6
+        systems.append((build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms)))
+        evolve(all_excited(6), *systems[-1], t_max=0.05, dt=0.005)
+    assert sorted(builds) == ["_build_orbit_keys", "_jump_table", "_merge_pieces", "_search"]
+    monkeypatch.setattr(LindbladGenerator, "sector", build)
+    assert len({s.L_hat.tobytes() for s in sectors}) == 5
+    for (h, rates), sector in zip(systems, sectors):
+        fresh = _fresh_sector(h, rates, all_excited(6))
+        for field in dataclasses.fields(sector):
+            assert _same_bits(getattr(sector, field.name), getattr(fresh, field.name))
+
+
+def test_structure_slots_are_keyed_by_value(monkeypatch):
+    # a search is reused only for the same structure, orbits (the atom
+    # classes) and support, and a compile only for the same nonzero positions
+    # of K and the same merged pieces of nonzero weight
+    frame, atoms, rates = resonant_pair()
+    h = build_hamiltonian(atoms, frame)
+    gen = LindbladGenerator(h, rates)
+    symmetric = np.diag([0.0, 0.5, 0.5, 0.0])
+    distinct = np.diag([0.0, 0.3, 0.7, 0.0])  # the same support, atoms not interchangeable
+    bell = np.zeros((4, 4))
+    bell[np.ix_([0, 3], [0, 3])] = 0.5  # the same atom classes, another support
+    assert gen.atom_classes(symmetric) == gen.atom_classes(bell) == [[0, 1]]
+    assert gen.atom_classes(distinct) == [[0], [1]]
+    _clear_slots()
+    builds = _count_structure_builds(monkeypatch)
+    sectors = [gen.sector(rho) for rho in (symmetric, distinct, symmetric, bell)]
+    assert builds.count("_search") == 4
+    for rho, sector in zip((symmetric, distinct, symmetric, bell), sectors):
+        fresh = _fresh_sector(h, rates, rho)
+        for field in dataclasses.fields(sector):
+            assert _same_bits(getattr(sector, field.name), getattr(fresh, field.name))
+    assert len(sectors[1].pairs) == len(sectors[0].pairs) < len(sectors[3].pairs)
+    # the orbit keys, per dim and classes
+    for dim, classes in ((16, [[0, 1], [2, 3]]), (16, [[0, 1, 2, 3]]), (8, [[0, 1, 2, 3]]),
+                         (16, [[0, 1], [2, 3]])):
+        expected = liouvillian._build_orbit_keys(dim, tuple(map(tuple, classes)))
+        assert _same_bits(liouvillian._orbit_keys(dim, classes), expected)
+
+    # an imaginary K[0, 0] keeps every nonzero position but cancels the merged
+    # piece A_0 rho A_0^+, whose weight is 2 Re K[0, 0]: it is compiled anew
+    K = kossakowski_matrix(rates)
+    cancelled = K.copy()
+    cancelled[0, 0] = 1j * K[0, 0].real
+    gens = []
+    for k in (K, cancelled, K):
+        monkeypatch.setattr(liouvillian, "kossakowski_matrix", lambda rates, pairing, k=k: k)
+        builds.clear()
+        gens.append(LindbladGenerator(h, rates))
+        assert builds == ["_jump_table"] * (len(gens) > 1)
+    assert gens[0]._structure[:2] == gens[1]._structure[:2]
+    assert gens[0]._structure == gens[2]._structure != gens[1]._structure
+    assert len(gens[1]._w) == len(gens[0]._w) - 1
+    for k, compiled in zip((K, cancelled, K), gens):
+        monkeypatch.setattr(liouvillian, "kossakowski_matrix", lambda rates, pairing, k=k: k)
+        _clear_slots()
+        fresh = LindbladGenerator(h, rates)
+        for name in ("_fl", "_fr", "_w", "_left_diag", "_right_diag"):
+            assert _same_bits(getattr(compiled, name), getattr(fresh, name))
+
+
+def test_cached_structure_is_read_only():
+    gen = counter_wedge_four()
+    gen.sector(all_ground(4))
+    slots = (liouvillian._merged, liouvillian._jumps, liouvillian._orbits,
+             liouvillian._searches)
+    assert all(slot.value is not None for slot in slots)
+    arrays = [a for slot in slots
+              for a in (slot.value if isinstance(slot.value, tuple) else (slot.value,))]
+    assert not any(a.flags.writeable for a in arrays)
+    assert not gen._fl.flags.writeable and not gen._fr.flags.writeable
+    with pytest.raises(ValueError):
+        gen._fl[0, 0] = 0
 
 
 def test_invariant_block_spectrum_matches_superoperator():
