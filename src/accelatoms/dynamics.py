@@ -3,7 +3,6 @@ pairwise concurrence, and the independent correlation-equation oracle."""
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -12,7 +11,7 @@ import numpy as np
 
 from .errors import DomainError, IntegrationError
 from .liouvillian import (_NON_FINITE, LindbladGenerator, Sector, _check_square, _density_checks,
-                          _density_failures, _first_failure)
+                          _density_failures, _first_failure, _Slot)
 from .operators import all_excited, all_ground, product_state, sigma_minus, sigma_plus, number_op
 from .rates import RateSet, kossakowski_matrix
 
@@ -158,13 +157,13 @@ def _concurrence_core(rho2: np.ndarray):
 _X_ROWS, _X_COLS = [0, 1, 2, 3, 0, 1, 2, 3], [0, 1, 2, 3, 3, 2, 1, 0]
 
 
-def _x_concurrence_core(rho2: np.ndarray):
-    """_concurrence_core for X states, whose entries off the diagonal and the
-    anti-diagonal are zero (they are not read): rho and rho*rho_tilde are
-    then direct sums of 2 x 2 blocks on {00, 11} and {01, 10}, so every
-    eigenvalue comes in closed form (Yu & Eberly, Quantum Inf. Comput. 7,
-    459, 2007). The same checks, in the same order, with the same messages."""
-    x = rho2[:, _X_ROWS, _X_COLS]
+def _x_concurrence_core(x: np.ndarray):
+    """_concurrence_core for X states, given as their 8 entries (count, 8) at
+    _X_ROWS, _X_COLS; the entries off the diagonal and the anti-diagonal are
+    zero: rho and rho*rho_tilde are then direct sums of 2 x 2 blocks on
+    {00, 11} and {01, 10}, so every eigenvalue comes in closed form (Yu &
+    Eberly, Quantum Inf. Comput. 7, 459, 2007). The same checks, in the same
+    order, with the same messages."""
     finite = np.isfinite(x).all(axis=1)
     x = np.where(finite[:, None], x, 0)
     # per block [[p, q], [r, s]]: {00, 11} in column 0, {01, 10} in column 1
@@ -207,17 +206,18 @@ class RecordMap:
     The rows of W are P_1..P_N, Tr rho, <sigma_j^+ sigma_l^-> for j < l and,
     when `pair` is given, the 16 entries of the pair's reduced state in
     row-major order: each a 0/1 weight on the sector's pairs, summed over the
-    blocks (`Sector.functionals`). R_tot is the sector's emission row.
-    `x_shaped` says that no pair of the sector reaches an entry of the pair
-    state off its diagonal and anti-diagonal: W then has rows for the 8
-    entries on them only, and the concurrence and checks come from the closed
-    forms of `_x_concurrence_core`, else from the generic `_concurrence_core`,
-    their oracle.
+    blocks (`Sector.functionals`). `x_shaped` says that no pair of the sector
+    reaches an entry of the pair state off its diagonal and anti-diagonal: W
+    then has rows for the 8 entries on them only, in the order of _X_ROWS,
+    _X_COLS, and the concurrence and checks come from the closed forms of
+    `_x_concurrence_core`, else from the generic `_concurrence_core`, their
+    oracle. A map holds structure only: it depends on the sector's dim,
+    pairs and labels, N and the pair, so the runs of a sweep share one
+    (`evolve`), and its arrays are read-only. R_tot, from the sector's own
+    emission row, is not one of its maps.
     """
 
     def __init__(self, sector: Sector, n: int, pair: tuple[int, int] | None):
-        self.structure = (sector.dim, n, pair, len(sector.block_swap), sector.pairs,
-                          sector.labels)
         x, y = np.divmod(sector.pairs, sector.dim)
         diag = x == y
         weights = [diag & ((x >> j) & 1 == 1) for j in range(n)] + [diag]
@@ -243,7 +243,6 @@ class RecordMap:
         if self.x_shaped:
             weights[-16:] = [weights[-16 + 4 * r + c] for r, c in zip(_X_ROWS, _X_COLS)]
         self.W = sector.functionals(np.array(weights))
-        self.emission = sector.emission
         # Within a component of rho's rows, rows with equal label rows are
         # equal rows of rho and, through block_swap, equal columns, whatever u
         # is: the component's s x s block is E C E^T, with C on one
@@ -276,32 +275,28 @@ class RecordMap:
         # the entries evaluating one state gathers: u, its linear functionals
         # and its row-block quotients
         self.entries = sum(self.W.shape) + sum(q.size for q, _, _ in self.quotients)
-
-    def fits(self, sector: Sector, n: int, pair: tuple[int, int] | None) -> bool:
-        """Whether W and the quotients are those of RecordMap(sector, n,
-        pair): they depend on the sector's dim, pairs and labels only."""
-        dim, n0, pair0, k, pairs, labels = self.structure
-        return ((dim, n0, pair0, k) == (sector.dim, n, pair, len(sector.block_swap))
-                and np.array_equal(pairs, sector.pairs) and np.array_equal(labels, sector.labels))
+        W = self.W
+        arrays = [W] if isinstance(W, np.ndarray) else [W.data, W.indices, W.indptr]
+        for array in arrays + [a for q in self.quotients for a in q[:2]
+                               if isinstance(a, np.ndarray)]:  # a scale of 1 is a float
+            array.setflags(write=False)
 
     def linear(self, U: np.ndarray):
         """(populations, traces, correlations <sigma_j^+ sigma_l^->, reduced
-        pair states or None, R_tot) of the block vectors in the rows of U, each
-        row by its own product, so that its numbers do not depend on the batch
-        (a CSR product sums each column of W @ U.T on its own)."""
+        pair states or None) of the block vectors in the rows of U, each row
+        by its own product, so that its numbers do not depend on the batch
+        (a CSR product sums each column of W @ U.T on its own). The pair
+        states are (count, 4, 4), or their 8 entries at _X_ROWS, _X_COLS
+        (count, 8) when the map is `x_shaped`."""
         n = self.n_atoms
         V = (np.matmul(self.W, U[:, :, None])[:, :, 0] if isinstance(self.W, np.ndarray)
              else (self.W @ U.T).T)
         corr_end = n + 1 + n * (n - 1) // 2
         if V.shape[1] == corr_end:
             rho2 = None
-        elif self.x_shaped:  # zero off the diagonal and the anti-diagonal
-            rho2 = np.zeros((len(V), 4, 4), dtype=complex)
-            rho2[:, _X_ROWS, _X_COLS] = V[:, corr_end:]
         else:
-            rho2 = V[:, corr_end:].reshape(-1, 4, 4)
-        return (V[:, :n].real, V[:, n], V[:, n + 1:corr_end], rho2,
-                -np.matmul(U[:, None, :], self.emission[:, None])[:, 0, 0].real)
+            rho2 = V[:, corr_end:] if self.x_shaped else V[:, corr_end:].reshape(-1, 4, 4)
+        return V[:, :n].real, V[:, n], V[:, n + 1:corr_end], rho2
 
     def min_eig(self, U: np.ndarray) -> np.ndarray:
         """Lowest eigenvalue of rho for each block vector in the rows of U
@@ -324,19 +319,7 @@ def _lowest_eigenvalues(quotients, U: np.ndarray) -> np.ndarray:
     return np.min(lows, axis=0)
 
 
-_last_record_map: RecordMap | None = None  # one slot: a sweep's runs share one sector structure
-
-
-def _record_map(sector: Sector, n: int, pair: tuple[int, int] | None) -> RecordMap:
-    """RecordMap(sector, n, pair), with the W, quotients and x_shaped of the
-    previous call's map when it `fits`, and R_tot from this sector's emission row."""
-    global _last_record_map
-    last = _last_record_map
-    if last is None or not last.fits(sector, n, pair):
-        last = _last_record_map = RecordMap(sector, n, pair)
-    record_map = copy.copy(last)
-    record_map.emission = sector.emission
-    return record_map
+_record_maps = _Slot()  # the RecordMap of a sector structure, which a sweep's runs share
 
 
 _RHO0_TOLERANCES = (1e-10, 1e-10, -1e-9)  # check_density_matrix's defaults
@@ -416,7 +399,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     snapshot's predecessor; max_trace_drift is the largest drift accumulated
     within a check interval. Each state is snapshotted once; the snapshots are
     evaluated together through a `RecordMap` (built once per sector
-    structure, see `_record_map`) when their evaluation gathers 2^17 entries
+    structure and kept in a slot keyed by it; R_tot from the run's own
+    emission row) when their evaluation gathers 2^17 entries
     (`RecordMap.entries` per snapshot: about 2500 snapshots on fig2's
     N = 6 sector), before a trace-drift error and at the end of the run,
     each on its own, so that a record does not depend on its batch; the
@@ -467,7 +451,9 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
     check_step(H, rates, dt, cross_pairing)
     sector = gen.sector(rho)
     u = sector.gather(rho)
-    record_map = _record_map(sector, n, pair)
+    record_map = _record_maps.get(
+        (sector.dim, n, pair, len(sector.block_swap), sector.pairs.tobytes(),
+         sector.labels.tobytes()), lambda: RecordMap(sector, n, pair))
     _check_on_sector(sector, u, record_map.quotients)
     L_hat, swap = sector.L_hat, sector.block_swap
     dense = isinstance(L_hat, np.ndarray)
@@ -513,7 +499,8 @@ def evolve(rho0: np.ndarray, H: np.ndarray | None, rates: RateSet,
         pending.clear()
         finite = np.isfinite(U).all(axis=1)
         U[~finite] = 0  # no LAPACK call sees a non-finite state
-        pops, trace, corr, rho2, r_tot = record_map.linear(U)
+        pops, trace, corr, rho2 = record_map.linear(U)
+        r_tot = -np.matmul(U[:, None, :], sector.emission[:, None])[:, 0, 0].real
         trace_err = np.abs(trace.real - 1.0) + np.abs(trace.imag)
         min_eig = record_map.min_eig(U)
         low = pops < _POP_FLOOR

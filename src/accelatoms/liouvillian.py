@@ -223,10 +223,11 @@ class Sector:
 
 
 class _Slot:
-    """One cached value and the key it was built for, as `dynamics._record_map`
-    keeps one RecordMap: a sweep's runs share one structure. Keys are values
-    (numbers, tuples and bytes), never object ids or data pointers; every
-    array of a value is made read-only. A first build fills the slot."""
+    """One cached value and the key it was built for: a sweep's runs share
+    one structure. Keys are values (numbers, tuples and bytes), never object
+    ids or data pointers, and every array of a value is read-only: the slot
+    makes an array, or a tuple of arrays, so, and any other value (a
+    `dynamics.RecordMap`) its own arrays. A first build fills the slot."""
 
     def __init__(self):
         self.key = self.value = None
@@ -235,7 +236,8 @@ class _Slot:
         if self.value is None or self.key != key:
             value = build()
             for array in value if isinstance(value, tuple) else (value,):
-                array.setflags(write=False)
+                if isinstance(array, np.ndarray):
+                    array.setflags(write=False)
             self.key, self.value = key, value
         return self.value
 
@@ -251,14 +253,16 @@ _merged, _jumps, _orbits, _searches = _Slot(), _Slot(), _Slot(), _Slot()
 
 def _orbit_keys(dim: int, classes: Sequence[Sequence[int]]) -> np.ndarray:
     """The orbit key of every pair index p = a * dim + b under the
-    permutations of the atoms within each class (classes of two or more
-    atoms): the pair of the orbit whose class atoms, in increasing order, are
-    of type 11 first, then 10, 01 and 00 (bit in a, bit in b). An orbit is
-    the per-class counts of the types, found by popcounts, so equal keys are
-    one orbit; an atom in no class keeps its bits. int32, in _ASSEMBLY_CHUNK
-    pairs at a time; read-only, built once per (dim, classes)."""
-    classes = tuple(map(tuple, classes))
-    return _orbits.get((dim, classes), lambda: _build_orbit_keys(dim, classes))
+    permutations of the atoms within each class: the pair of the orbit whose
+    class atoms, in increasing order, are of type 11 first, then 10, 01 and
+    00 (bit in a, bit in b). An orbit is the per-class counts of the types,
+    found by popcounts, so equal keys are one orbit; an atom in no class of
+    two or more atoms keeps its bits, and with no such class the key is the
+    identity, every pair its own orbit. int32, in _ASSEMBLY_CHUNK pairs at a
+    time; read-only, built once per (dim, classes)."""
+    classes = tuple(tuple(c) for c in classes if len(c) > 1)
+    return _orbits.get((dim, classes), lambda: _build_orbit_keys(dim, classes) if classes
+                       else np.arange(dim * dim, dtype=np.int32))
 
 
 def _build_orbit_keys(dim: int, classes: tuple[tuple[int, ...], ...]) -> np.ndarray:
@@ -508,21 +512,22 @@ class LindbladGenerator:
             classes.setdefault(find(k), []).append(k)
         return list(classes.values())
 
-    def restrict(self, support, key: np.ndarray | None = None
+    def restrict(self, support, classes: Sequence[Sequence[int]] = ()
                  ) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """The orbits reachable from the pair indices `support` (breadth-first
         over the jumps, from one representative pair per orbit), which L leaves
         invariant, and the entries (rows, cols, vals) of the orbit quotient of
         L on them: int32 indices, in row-major order, no (row, col) repeated.
-        The orbits are returned as their sorted keys, each the representative
-        pair (a, b) as p = a * dim + b; `key` gives the key of every pair
-        index (`_orbit_keys`), and None makes every pair its own orbit.
+        The orbits are those of the permutations of the atoms within each of
+        `classes` (`_orbit_keys`), returned as their sorted keys, each the
+        representative pair (a, b) as p = a * dim + b; with no class of two or
+        more atoms every pair is its own orbit.
 
         The orbits of `_orbit_keys` are those of permutations that commute
         with L (`atom_classes`), so a state v constant on every orbit stays
         so, with d u/dt = L_orb @ u: L_orb[I, J] is |J|/|I| times the sum of
         the jumps from the representative of J into I, plus its diagonal
-        where I = J. With no key every orbit is one pair and L_orb is L,
+        where I = J. Where every reachable orbit is one pair, L_orb is L,
         (L v)[k] being d rho[pairs[k]]/dt; each unfolded jump flips a distinct
         set of bits and the diagonal none, so no (row, col) repeats and
         nothing is summed. Each representative's jumps are gathered once,
@@ -530,14 +535,15 @@ class LindbladGenerator:
         orbits and keeps every live (source, target orbit, jump).
 
         That search (`_search`) depends only on the generator's structure,
-        the support and the orbit keys, so it is kept for them, by value, and
+        the support and the classes, so it is kept for them, by value, and
         a repeated call gathers nothing; each call sums its own diagonal and
         the jumps' weights into the quotient's entries."""
         dim = self.dim
         support = np.asarray(support, dtype=np.intp)
+        classes = tuple(map(tuple, classes))
         keys, tgt, src, jump, size = _searches.get(
-            (self._structure, support.tobytes(), None if key is None else key.tobytes()),
-            lambda: self._search(support, key))
+            (self._structure, support.tobytes(), classes),
+            lambda: self._search(support, _orbit_keys(dim, classes)))
         diag = self._left_diag[keys // dim] + self._right_diag[keys % dim]
         on = diag.nonzero()[0]
         # the diagonal first, then the gathered entries
@@ -545,30 +551,31 @@ class LindbladGenerator:
         rows = np.concatenate((on, tgt), dtype=np.int32)
         cols = np.concatenate((on, src), dtype=np.int32)
         # the quotient's repeats are summed in the order gathered, so its sort
-        # is stable; L has none, and the faster sort gives it the same order
+        # is stable; with every orbit one pair there are none, and the faster
+        # sort gives the same order
         entry = rows.astype(np.int64) * len(keys) + cols
-        order = np.argsort(entry, kind=None if key is None else "stable")
+        unique = bool((size == 1).all())
+        order = np.argsort(entry, kind=None if unique else "stable")
         vals = vals[order]
         rows = rows[order]
         cols = cols[order]
-        if key is not None:  # jumps of one representative into one orbit
+        if not unique:  # jumps of one representative into one orbit
             first = np.flatnonzero(np.diff(entry[order], prepend=-1))
             vals = np.add.reduceat(vals, first)
             rows, cols = rows[first], cols[first]
             vals *= size[cols] / size[rows]
         return keys, (rows, cols, vals)
 
-    def _search(self, support: np.ndarray, key: np.ndarray | None) -> tuple[np.ndarray, ...]:
+    def _search(self, support: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, ...]:
         """restrict's search, which depends only on the generator's structure,
-        the support and the orbits: the reachable orbit keys, the position of
-        the target and the source orbit and the jump of every gathered live
-        entry, in the order gathered, and the size of every reachable orbit
-        (empty without a key)."""
+        the support and the orbit key of every pair: the reachable orbit keys,
+        the position of the target and the source orbit and the jump of every
+        gathered live entry, in the order gathered, and the size of every
+        reachable orbit."""
         dim, jumps = self.dim, len(self._w)
-        orbit = (lambda p: p) if key is None else key.__getitem__
         step = max(1, _ASSEMBLY_CHUNK // max(1, jumps))
         seen = np.zeros(dim**2, dtype=bool)
-        seen[orbit(support)] = True
+        seen[key[support]] = True
         frontier = seen.nonzero()[0]
         src, tgt, jump = [], [], []  # int32: pair indices are below 4^10
         while frontier.size:
@@ -577,7 +584,7 @@ class LindbladGenerator:
                 chunk = frontier[start:start + step]
                 ta, tb = self._fl[chunk // dim], self._fr[chunk % dim]
                 live = ((ta != dim) & (tb != dim)).ravel().nonzero()[0]
-                tgt.append(orbit(ta.ravel()[live] * dim + tb.ravel()[live]))
+                tgt.append(key[ta.ravel()[live] * dim + tb.ravel()[live]])
                 found[tgt[-1]] = True
                 src.append(chunk[live // jumps].astype(np.int32))
                 jump.append((live % jumps).astype(np.int32))
@@ -589,8 +596,7 @@ class LindbladGenerator:
         none = np.zeros(0, dtype=np.int32)
         return (keys, np.concatenate([none, *(position[t] for t in tgt)]),
                 np.concatenate([none, *(position[s] for s in src)]),
-                np.concatenate([none, *jump]),
-                np.ones(0) if key is None else np.bincount(key)[keys])
+                np.concatenate([none, *jump]), np.bincount(key)[keys])
 
     def sector(self, rho: np.ndarray) -> Sector:
         """The pairs reachable from the support of rho and of rho.T, lumped
@@ -608,18 +614,14 @@ class LindbladGenerator:
         dim = self.dim
         if rho.shape != (dim, dim):
             raise DomainError(f"state has shape {rho.shape}, expected {(dim, dim)}")
-        classes = [c for c in self.atom_classes(rho) if len(c) > 1]
-        key = _orbit_keys(dim, classes) if classes else None
-        orbits, L = self.restrict(np.flatnonzero((rho != 0) | (rho.T != 0)), key)
+        classes = self.atom_classes(rho)
+        orbits, L = self.restrict(np.flatnonzero((rho != 0) | (rho.T != 0)), classes)
+        key = _orbit_keys(dim, classes)
+        member = np.zeros(dim * dim, dtype=bool)
+        member[orbits] = True
+        pairs = np.flatnonzero(member[key])  # the pairs of the reachable orbits
         a, b = np.divmod(orbits, dim)
-        if key is None:
-            pairs, pair_key, swap_key = orbits, orbits, b * dim + a
-        else:  # the pairs of the reachable orbits
-            member = np.zeros(dim * dim, dtype=bool)
-            member[orbits] = True
-            pairs = np.flatnonzero(member[key])
-            pair_key, swap_key = key[pairs], key[b * dim + a]
-        orbit, orbit_swap = orbits.searchsorted(pair_key), orbits.searchsorted(swap_key)
+        orbit, orbit_swap = orbits.searchsorted(key[pairs]), orbits.searchsorted(key[b * dim + a])
         orbit_labels, L_hat = _lump(L, orbit_swap, rho.ravel()[orbits])
         labels = orbit_labels[orbit]
         a, b = np.divmod(pairs, dim)

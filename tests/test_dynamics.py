@@ -9,9 +9,10 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from accelatoms import AtomSpec, DomainError, FrameConfig, IntegrationError, dynamics, liouvillian
-from accelatoms.dynamics import (RecordMap, all_excited, all_ground, coherence_measure,
-                                 concurrence, correlation_oracle, evolve, partial_trace,
-                                 population, populations, product_state, total_emission_rate)
+from accelatoms.dynamics import (_X_COLS, _X_ROWS, RecordMap, all_excited, all_ground,
+                                 coherence_measure, concurrence, correlation_oracle, evolve,
+                                 partial_trace, population, populations, product_state,
+                                 total_emission_rate)
 from accelatoms.kinematics import kinematic_state, unruh_beta
 from accelatoms.liouvillian import (LindbladGenerator, Sector, build_hamiltonian,
                                     build_superoperator, check_density_matrix)
@@ -460,18 +461,26 @@ def test_record_map_matches_oracle_functions():
         block_counts.append(len(sector.block_swap))
         n = rs.n_atoms
         record_map = RecordMap(sector, n, pair)
+        assert record_map.x_shaped
         for _ in range(3):
             u = _random_block_state(sector, rng)
             rho = sector.scatter(u)
-            pops, trace, corr, rho2, r_tot = record_map.linear(u[None])
+            pops, trace, corr, rho2 = record_map.linear(u[None])
             assert np.abs(pops[0] - populations(rho)).max() < 1e-13
             assert abs(trace[0] - rho.trace()) < 1e-13
             assert abs(2.0 * np.abs(corr[0]).sum() - coherence_measure(rho)) < 1e-13
             expected = [np.einsum("ij,ji->", sigma_plus(j, n) @ sigma_minus(l, n), rho)
                         for j in range(n) for l in range(j + 1, n)]
             assert np.abs(corr[0] - expected).max() < 1e-13
-            assert np.abs(rho2[0] - partial_trace(rho, pair)).max() < 1e-13
-            assert abs(r_tot[0] - total_emission_rate(rho, h, rs, pairing)) < 1e-13
+            # an X-shaped map gives the 8 entries on the diagonal and the
+            # anti-diagonal, and the oracle's other 8 are zero
+            expected = partial_trace(rho, pair)
+            assert np.abs(rho2[0] - expected[_X_ROWS, _X_COLS]).max() < 1e-13
+            off_x = np.ones((4, 4), dtype=bool)
+            off_x[_X_ROWS, _X_COLS] = False
+            assert not expected[off_x].any()
+            r_tot = -(sector.emission @ u).real
+            assert abs(r_tot - total_emission_rate(rho, h, rs, pairing)) < 1e-13
     # fig2's Dicke ladder, fig4 case_b unlumped, the counter wedges under both pairings
     assert block_counts[:3] == [7, 64, 10]
 
@@ -596,7 +605,7 @@ def test_x_kernel_matches_the_generic_kernel():
                 states[rng.integers(12)] = broken(states[rng.integers(12)].copy())
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                x_conc, x_checks = dynamics._x_concurrence_core(states)
+                x_conc, x_checks = dynamics._x_concurrence_core(states[:, _X_ROWS, _X_COLS])
                 conc, checks = dynamics._concurrence_core(states)
             failure = _first_check(checks)
             assert _first_check(x_checks) == failure
@@ -611,7 +620,8 @@ def test_x_kernel_matches_the_generic_kernel():
     states = np.array([_random_x_state(rng) for _ in range(400)])
     conc = dynamics._concurrence_core(states)[0]
     assert conc.max() > 0.5 and (conc == 0).any()
-    assert np.abs(dynamics._x_concurrence_core(states)[0] - conc).max() < 1e-14
+    assert np.abs(dynamics._x_concurrence_core(states[:, _X_ROWS, _X_COLS])[0]
+                  - conc).max() < 1e-14
     # pure X states a|00> + d|11> and b|01> + c|10>, of concurrence 2|ad| and
     # 2|bc|: the smaller root of each block comes without cancellation, where
     # LAPACK's rounding, magnified by the square roots, loses half the digits
@@ -622,7 +632,8 @@ def test_x_kernel_matches_the_generic_kernel():
     psi[100:, 1], psi[100:, 2] = amp[100:].T
     pure = psi[:, :, None] * psi[:, None, :].conj()
     exact = 2.0 * np.abs(amp[:, 0] * amp[:, 1])
-    assert np.abs(dynamics._x_concurrence_core(pure)[0] - exact).max() < 1e-14
+    assert np.abs(dynamics._x_concurrence_core(pure[:, _X_ROWS, _X_COLS])[0]
+                  - exact).max() < 1e-14
     assert np.abs(dynamics._concurrence_core(pure)[0] - exact).max() > 1e-10
 
 
@@ -839,7 +850,7 @@ def test_evolve_checks_rho0_on_its_sector(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", spy)
     ts = evolve(all_excited(10), h, rs, t_max=0.05, dt=0.005)
     assert ts.column("P_tot")[0] == 10.0
-    largest = max(q.shape[-1] for q, _, _ in dynamics._last_record_map.quotients)
+    largest = max(q.shape[-1] for q, _, _ in dynamics._record_maps.value.quotients)
     assert all(shape[-1] <= largest for shape in shapes)
     assert largest == 1 and not shapes
 
@@ -962,8 +973,8 @@ def test_snapshots_evaluated_one_at_a_time_match_one_batch(monkeypatch):
 def test_a_sweep_builds_one_record_map(monkeypatch):
     # fig2's five sweep points share one sector structure (pairs and labels),
     # so the record map is built once; R_tot comes from each run's own
-    # emission row, bit for bit that of a freshly built map
-    monkeypatch.setattr(dynamics, "_last_record_map", None)
+    # emission row, bit for bit its per-row product with each state
+    dynamics._record_maps.clear()
     built = []
     init = RecordMap.__init__
 
@@ -985,7 +996,7 @@ def test_a_sweep_builds_one_record_map(monkeypatch):
         sector = LindbladGenerator(h, rs).sector(all_excited(6))
         emissions.append(sector.emission)
         U = np.array([sector.gather(state) for state in ts.states])
-        r_tot = RecordMap(sector, 6, (0, 1)).linear(U)[4]
+        r_tot = -np.matmul(U[:, None, :], sector.emission[:, None])[:, 0, 0].real
         assert np.array_equal(ts.column("R_tot"), r_tot)
     assert len({e.tobytes() for e in emissions}) == 5
 

@@ -7,7 +7,7 @@ import scipy.sparse as sp
 from scipy.optimize import linear_sum_assignment
 from scipy.sparse.csgraph import connected_components
 
-from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig, liouvillian
+from accelatoms import AtomSpec, CapacityError, DomainError, FrameConfig, dynamics, liouvillian
 from accelatoms.kinematics import unruh_beta
 from accelatoms.liouvillian import (LindbladGenerator, _ladder_table,
                                     build_hamiltonian, build_superoperator,
@@ -355,7 +355,7 @@ def _clear_slots():
     # a repeated build is served from the structure slots and gathers
     # nothing, so a count of gathers starts from empty slots
     for slot in (liouvillian._merged, liouvillian._jumps, liouvillian._orbits,
-                 liouvillian._searches):
+                 liouvillian._searches, dynamics._record_maps):
         slot.clear()
 
 
@@ -550,8 +550,9 @@ def test_lumping_certificate_rejects_a_perturbed_generator(monkeypatch):
     restrict = gen.restrict
     seen = {}
 
-    def perturbed_restrict(support, key=None):
-        orbits, exact = csr(restrict(support, key))
+    def perturbed_restrict(support, classes=()):
+        orbits, exact = csr(restrict(support, classes))
+        key = liouvillian._orbit_keys(gen.dim, classes)
         orbit = np.searchsorted(orbits, key[lumped.pairs])
         blocks = np.zeros(len(orbits), dtype=int)
         blocks[orbit] = lumped.labels
@@ -630,7 +631,7 @@ def _orbit_counts(pairs, dim, classes):
 def test_orbit_quotient_matches_full_assembly():
     # random rate sets of two kinds of atom, repeated: the sector built on the
     # orbits of the interchangeable atoms against L assembled on every pair
-    # (restrict with no key)
+    # (restrict with no atom classes)
     rng = np.random.default_rng(25)
     with_class = coarser = 0
     for trial in range(30):
@@ -838,7 +839,7 @@ def test_structure_slots_are_keyed_by_value(monkeypatch):
             assert _same_bits(getattr(compiled, name), getattr(fresh, name))
 
 
-def test_cached_structure_is_read_only():
+def test_cached_structure_is_read_only(monkeypatch):
     gen = counter_wedge_four()
     gen.sector(all_ground(4))
     slots = (liouvillian._merged, liouvillian._jumps, liouvillian._orbits,
@@ -850,6 +851,38 @@ def test_cached_structure_is_read_only():
     assert not gen._fl.flags.writeable and not gen._fr.flags.writeable
     with pytest.raises(ValueError):
         gen._fl[0, 0] = 0
+    # the record map of a run, with a dense W and, on a CSR sector, a CSR one
+    for dense_blocks in (liouvillian._DENSE_BLOCKS, 0):
+        monkeypatch.setattr(liouvillian, "_DENSE_BLOCKS", dense_blocks)
+        dynamics._record_maps.clear()
+        dynamics.evolve(all_ground(4), None, gen.rates, t_max=0.01, dt=0.005,
+                        concurrence_pair=(0, 2))
+        record_map = dynamics._record_maps.value
+        W = record_map.W
+        assert sp.issparse(W) == (dense_blocks == 0)
+        arrays = [W] if dense_blocks else [W.data, W.indices, W.indptr]
+        arrays += [a for q in record_map.quotients for a in q[:2] if isinstance(a, np.ndarray)]
+        assert len(arrays) > len(record_map.quotients)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[0][0] = 0
+
+
+def test_search_slot_is_keyed_on_the_atom_classes():
+    # the search of an N = 8 Dicke sector is kept per (structure, support,
+    # atom classes): its key holds the classes, and no copy of the 4^N orbit
+    # keys
+    frame = FrameConfig(a=2.0)
+    atoms = [AtomSpec(omega=1.0, alpha=2.0)] * 8
+    gen = LindbladGenerator(build_hamiltonian(atoms, frame), same_wedge_rates(frame, atoms))
+    _clear_slots()
+    sector = gen.sector(all_excited(8))
+    assert (len(sector.pairs), len(sector.block_swap)) == (12870, 9)
+    structure, support, classes = liouvillian._searches.key
+    assert classes == (tuple(range(8)),)
+    assert support == np.flatnonzero(all_excited(8)).tobytes()
+    assert not any(isinstance(part, bytes) and len(part) >= 4 * 4**8
+                   for part in (*structure, support))
 
 
 def test_invariant_block_spectrum_matches_superoperator():
